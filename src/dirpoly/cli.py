@@ -11,7 +11,9 @@ file formats:
 Output is human-readable by default; ``--format structured`` emits a single
 JSON document (floats round-trip exactly; +infinity is emitted as the JSON
 token Infinity).  Exit codes: 0 success or passed check, 1 failed check,
-2 parse or validation error.
+2 parse, validation, file or rendering error, reported on stderr as
+``error: <message>`` or, structured, as ``{"error": "<message>"}`` with
+stdout left empty.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .distributions import (
     from_rational_distribution,
     to_distribution,
 )
-from .expr import ParseError, format_poly, parse
+from .expr import format_poly, parse
 from .homs import hom_count, hom_count_over_base
 from .measures import (
     DEFAULT_TOL,
@@ -39,26 +41,12 @@ from .measures import (
 )
 
 _NAT_RE = re.compile(r"\d+")
-_FRACTION_RE = re.compile(r"\d+(/\d+)?")
+# A zero denominator is rejected here, not left to raise ZeroDivisionError.
+_FRACTION_RE = re.compile(r"\d+(/0*[1-9]\d*)?")
 
 
-def _fmt(x: float) -> str:
-    """Decimal approximation to 12 significant digits."""
-    return f"{x:.12g}"
-
-
-def _emit(document: dict) -> None:
-    print(json.dumps(document))
-
-
-def _parse_nat(text: str, what: str) -> int:
-    if not _NAT_RE.fullmatch(text):
-        raise ValueError(f"{what} must be a natural number, got {text!r}")
-    return int(text)
-
-
-def _data_rows(path: str, header: tuple[str, str]) -> list[tuple[str, str, int]]:
-    """Rows of a two-column comma-separated file, after the expected header."""
+def _data_rows(path: str, column: str, value_re: re.Pattern, value_rule: str) -> list[tuple[str, str]]:
+    """(label, value) rows of a comma-separated file with header ``label,<column>``."""
     rows = []
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -69,205 +57,187 @@ def _data_rows(path: str, header: tuple[str, str]) -> list[tuple[str, str, int]]
             if len(fields) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 2 comma-separated fields")
             rows.append((fields[0], fields[1], lineno))
-    if not rows or (rows[0][0], rows[0][1]) != header:
-        raise ValueError(f"{path}: first row must be the header {','.join(header)!r}")
-    return rows[1:]
+    if not rows or rows[0][:2] != ("label", column):
+        raise ValueError(f"{path}: first row must be the header 'label,{column}'")
+    for label, text, lineno in rows[1:]:
+        if not label:
+            raise ValueError(f"{path}:{lineno}: empty label")
+        if not value_re.fullmatch(text):
+            raise ValueError(f"{path}:{lineno}: {value_rule}, got {text!r}")
+    return [(label, text) for label, text, _ in rows[1:]]
 
 
 def read_bundle(path: str) -> LabelledBundle:
-    fibres = []
-    for label, size_text, lineno in _data_rows(path, ("label", "fibre")):
-        if not label:
-            raise ValueError(f"{path}:{lineno}: empty label")
-        if not _NAT_RE.fullmatch(size_text):
-            raise ValueError(
-                f"{path}:{lineno}: fibre size must be a natural number, got {size_text!r}"
-            )
-        fibres.append((label, int(size_text)))
-    return LabelledBundle(tuple(fibres))
+    rows = _data_rows(path, "fibre", _NAT_RE, "fibre size must be a natural number")
+    return LabelledBundle(tuple((label, int(text)) for label, text in rows))
 
 
 def read_distribution(path: str) -> RationalDistribution:
-    entries = []
-    for label, prob_text, lineno in _data_rows(path, ("label", "probability")):
-        if not label:
-            raise ValueError(f"{path}:{lineno}: empty label")
-        if not _FRACTION_RE.fullmatch(prob_text):
-            raise ValueError(
-                f"{path}:{lineno}: probability must be a fraction p/q or an integer,"
-                f" got {prob_text!r}"
-            )
-        entries.append((label, Fraction(prob_text)))
-    return RationalDistribution(tuple(entries))
+    rows = _data_rows(path, "probability", _FRACTION_RE,
+                      "probability must be an integer or a fraction p/q with q > 0")
+    return RationalDistribution(tuple((label, Fraction(text)) for label, text in rows))
 
 
-def bundle_document(bundle: LabelledBundle) -> str:
-    lines = ["label,fibre"]
-    lines.extend(f"{label},{size}" for label, size in bundle.fibres)
-    return "\n".join(lines)
+def _human(value) -> str:
+    """Human text of one value: floats to 12 significant digits."""
+    return f"{value:.12g}" if isinstance(value, float) else str(value)
 
 
-def _cmd_eval(args) -> int:
-    value = parse(args.expr)(_parse_nat(args.n, "the evaluation point"))
-    if args.format == "structured":
-        _emit({"value": value})
-    else:
-        print(value)
-    return 0
+def _render(document: dict, human, structured: bool) -> str:
+    """The whole stdout of a command.
+
+    ``human`` is None to print the document as ``key: value`` lines, a dict
+    to print other ``key: value`` lines, or a list of lines.
+    """
+    if structured:
+        return json.dumps(document) + "\n"
+    if human is None:
+        human = document
+    if isinstance(human, dict):
+        human = [f"{key}: {_human(value)}" for key, value in human.items()]
+    return "".join(_human(line) + "\n" for line in human)
 
 
-def _cmd_measures(args) -> int:
+# Each handler makes its library calls and returns (document, human) for
+# ``_render``; a document whose "status" is "fail" makes the command exit 1.
+
+def _cmd_eval(args):
     d = parse(args.expr)
-    m = measures(d)
-    if args.format == "structured":
-        _emit({
-            "polynomial": format_poly(d),
-            "area": m.area,
-            "powerProduct": m.power_product,
-            "width": m.width,
-            "entropy": m.entropy,
-            "length": m.length,
-        })
-    else:
-        print(f"polynomial: {format_poly(d)}")
-        print(f"area: {m.area}")
-        print(f"powerProduct: {m.power_product}")
-        print(f"width: {_fmt(m.width)}")
-        print(f"entropy: {_fmt(m.entropy)}")
-        print(f"length: {_fmt(m.length)}")
-    return 0
+    if not _NAT_RE.fullmatch(args.n):
+        raise ValueError(f"the evaluation point must be a natural number, got {args.n!r}")
+    value = d(int(args.n))
+    return {"value": value}, [value]
 
 
-def _cmd_check(args) -> int:
+def _measures_document(d, m) -> dict:
+    return {
+        "polynomial": format_poly(d),
+        "area": m.area,
+        "powerProduct": m.power_product,
+        "width": m.width,
+        "entropy": m.entropy,
+        "length": m.length,
+    }
+
+
+def _cmd_measures(args):
+    d = parse(args.expr)
+    return _measures_document(d, measures(d)), None
+
+
+def _cmd_check(args):
     d = parse(args.expr)
     report = check_rectangle_area(d, tol=args.tol)
-    m = report.measures
     status = "pass" if report.passed else "fail"
-    if args.format == "structured":
-        _emit({
-            "polynomial": format_poly(d),
-            "area": m.area,
-            "powerProduct": m.power_product,
-            "width": m.width,
-            "entropy": m.entropy,
-            "length": m.length,
-            "lengthTimesWidth": report.product,
-            "floatError": report.float_error,
-            "logError": report.log_error,
-            "tol": report.tol,
-            "status": status,
-        })
-    else:
-        print(f"polynomial: {format_poly(d)}")
-        print(f"area: {m.area}")
-        print(f"length*width: {_fmt(report.product)}")
-        print(f"floatError: {_fmt(report.float_error)} (bound {_fmt(report.float_bound)})")
-        print(f"logError: {_fmt(report.log_error)} (bound {_fmt(report.log_bound)})")
-        print(f"status: {status}")
-    return 0 if report.passed else 1
+    document = {
+        **_measures_document(d, report.measures),
+        "lengthTimesWidth": report.product,
+        "floatError": report.float_error,
+        "logError": report.log_error,
+        "tol": report.tol,
+        "status": status,
+    }
+    return document, {
+        "polynomial": document["polynomial"],
+        "area": document["area"],
+        "length*width": report.product,
+        "floatError": f"{_human(report.float_error)} (bound {_human(report.float_bound)})",
+        "logError": f"{_human(report.log_error)} (bound {_human(report.log_bound)})",
+        "status": status,
+    }
 
 
-def _cmd_cross(args) -> int:
+def _cmd_cross(args):
     bd = read_bundle(args.data)
     be = read_bundle(args.model)
     report = check_cross_rectangle_area(bd, be, tol=args.tol)
     cm = report.cross
-    if args.format == "structured":
-        _emit({
-            "crossEntropy": cm.cross_entropy,
-            "crossArea": cm.cross_area,
-            "crossWidth": cm.cross_width,
-            "crossLength": cm.cross_length,
-            "kl": cm.kl,
-            "tol": report.tol,
-            "status": report.status,
-        })
-    else:
-        print(f"crossEntropy: {_fmt(cm.cross_entropy)}")
-        print(f"crossArea: {cm.cross_area}")
-        print(f"crossWidth: {_fmt(cm.cross_width)}")
-        print(f"crossLength: {_fmt(cm.cross_length)}")
-        print(f"kl: {_fmt(cm.kl)}")
-        print(f"status: {report.status}")
-    return 0 if report.status in ("pass", "degenerate") else 1
+    document = {
+        "crossEntropy": cm.cross_entropy,
+        "crossArea": cm.cross_area,
+        "crossWidth": cm.cross_width,
+        "crossLength": cm.cross_length,
+        "kl": cm.kl,
+        "tol": report.tol,
+        "status": report.status,
+    }
+    return document, {key: value for key, value in document.items() if key != "tol"}
 
 
-def _cmd_kl(args) -> int:
+def _cmd_kl(args):
     bd = read_bundle(args.data)
     be = read_bundle(args.model)
-    value = cross_measures(bd, be).kl
-    if args.format == "structured":
-        _emit({"kl": value})
-    else:
-        print(f"kl: {_fmt(value)}")
-    return 0
+    return {"kl": cross_measures(bd, be).kl}, None
 
 
-def _cmd_hom_count(args) -> int:
+def _cmd_hom_count(args):
     if args.over_base:
         count = hom_count_over_base(read_bundle(args.a), read_bundle(args.b))
     else:
         count = hom_count(parse(args.a), parse(args.b))
-    if args.format == "structured":
-        _emit({"count": count})
-    else:
-        print(count)
-    return 0
+    return {"count": count}, [count]
 
 
-def _cmd_from_dist(args) -> int:
-    dist = read_distribution(args.csv)
-    bundle = from_rational_distribution(dist)
+def _cmd_from_dist(args):
+    bundle = from_rational_distribution(read_distribution(args.csv))
     poly_text = format_poly(bundle.to_poly())
-    document = bundle_document(bundle)
-    if args.format == "structured":
-        _emit({
-            "bundle": [{"label": l, "fibre": s} for l, s in bundle.fibres],
-            "total": bundle.num_draws,
-            "polynomial": poly_text,
-        })
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as f:
-                f.write(document + "\n")
-        return 0
+    document = {
+        "bundle": [{"label": label, "fibre": size} for label, size in bundle.fibres],
+        "total": bundle.num_draws,
+        "polynomial": poly_text,
+    }
+    bundle_lines = ["label,fibre", *(f"{label},{size}" for label, size in bundle.fibres)]
     if args.output:
         with open(args.output, "w", encoding="utf-8") as f:
-            f.write(document + "\n")
-        print(f"wrote {args.output}")
-        print(f"polynomial: {poly_text}")
-        print(f"total: {bundle.num_draws}")
-    else:
-        # Stdout stays a valid bundle file; the extras ride along as comments.
-        print(document)
-        print(f"# polynomial: {poly_text}")
-        print(f"# total: {bundle.num_draws}")
-    return 0
+            f.write("\n".join(bundle_lines) + "\n")
+        return document, [f"wrote {args.output}", f"polynomial: {poly_text}",
+                          f"total: {bundle.num_draws}"]
+    # Stdout stays a valid bundle file; the extras ride along as comments.
+    return document, [*bundle_lines, f"# polynomial: {poly_text}", f"# total: {bundle.num_draws}"]
 
 
-def _cmd_to_dist(args) -> int:
+def _cmd_to_dist(args):
     dist = to_distribution(read_bundle(args.bundle))
-    if args.format == "structured":
-        _emit({
-            "distribution": [
-                {"label": label, "probability": str(p)} for label, p in dist.entries
-            ],
-        })
-    else:
-        print("label,probability")
-        for label, p in dist.entries:
-            print(f"{label},{p}")
-    return 0
+    document = {
+        "distribution": [{"label": label, "probability": str(p)} for label, p in dist.entries],
+    }
+    return document, ["label,probability", *(f"{label},{p}" for label, p in dist.entries)]
 
 
-def _cmd_arith(args) -> int:
+def _cmd_arith(args):
     a = parse(args.a)
     b = parse(args.b)
-    result = a + b if args.op == "add" else a * b
-    if args.format == "structured":
-        _emit({"polynomial": format_poly(result)})
-    else:
-        print(format_poly(result))
-    return 0
+    text = format_poly(a + b if args.op == "add" else a * b)
+    return {"polynomial": text}, [text]
+
+
+def _arg(*flags, **options):
+    return flags, options
+
+
+_TOL = _arg("--tol", type=float, default=DEFAULT_TOL)
+
+# Subcommand name -> (handler, help, arguments after --format).
+_COMMANDS = {
+    "eval": (_cmd_eval, "evaluate an expression at a natural number", [_arg("expr"), _arg("n")]),
+    "measures": (_cmd_measures, "area, power product, width, entropy, length", [_arg("expr")]),
+    "check": (_cmd_check, "verify area == length * width", [_arg("expr"), _TOL]),
+    "cross": (_cmd_cross, "cross measures of two bundle files and the cross rectangle-area check", [
+        _arg("data", help="bundle file of the data polynomial"),
+        _arg("model", help="bundle file of the model polynomial"), _TOL]),
+    "kl": (_cmd_kl, "Kullback-Leibler divergence of two bundle files", [_arg("data"), _arg("model")]),
+    "hom-count": (_cmd_hom_count, "number of morphisms between two polynomials", [
+        _arg("--over-base", action="store_true",
+             help="count outcome-fixing morphisms between two bundle files instead"),
+        _arg("a", help="expression, or bundle file with --over-base"),
+        _arg("b", help="expression, or bundle file with --over-base")]),
+    "from-dist": (_cmd_from_dist, "realise a distribution file as a minimal bundle", [
+        _arg("csv", help="distribution file (label,probability)"),
+        _arg("-o", "--output", help="write the bundle file here instead of stdout")]),
+    "to-dist": (_cmd_to_dist, "empirical distribution of a bundle file", [_arg("bundle")]),
+    "arith": (_cmd_arith, "add or multiply two expressions",
+              [_arg("op", choices=["add", "mul"]), _arg("a"), _arg("b")]),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -276,60 +246,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact Dirichlet polynomial calculator: rig arithmetic,"
         " entropy/length/width measures, hom counts, and distributions.",
     )
+    # One shared --format action: add_argument is costly, and runs on every call.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=["human", "structured"], default="human",
-        help="output style (structured = one JSON document)",
-    )
+    common.add_argument("--format", choices=["human", "structured"], default="human",
+                        help="output style (structured = one JSON document)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", parents=[common], help="evaluate an expression at a natural number")
-    p.add_argument("expr")
-    p.add_argument("n")
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("measures", parents=[common], help="area, power product, width, entropy, length")
-    p.add_argument("expr")
-    p.set_defaults(func=_cmd_measures)
-
-    p = sub.add_parser("check", parents=[common], help="verify area == length * width")
-    p.add_argument("expr")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("cross", parents=[common], help="cross measures of two bundle files and the cross rectangle-area check")
-    p.add_argument("data", help="bundle file of the data polynomial")
-    p.add_argument("model", help="bundle file of the model polynomial")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.set_defaults(func=_cmd_cross)
-
-    p = sub.add_parser("kl", parents=[common], help="Kullback-Leibler divergence of two bundle files")
-    p.add_argument("data")
-    p.add_argument("model")
-    p.set_defaults(func=_cmd_kl)
-
-    p = sub.add_parser("hom-count", parents=[common], help="number of morphisms between two polynomials")
-    p.add_argument("--over-base", action="store_true",
-                   help="count outcome-fixing morphisms between two bundle files instead")
-    p.add_argument("a", help="expression, or bundle file with --over-base")
-    p.add_argument("b", help="expression, or bundle file with --over-base")
-    p.set_defaults(func=_cmd_hom_count)
-
-    p = sub.add_parser("from-dist", parents=[common], help="realise a distribution file as a minimal bundle")
-    p.add_argument("csv", help="distribution file (label,probability)")
-    p.add_argument("-o", "--output", help="write the bundle file here instead of stdout")
-    p.set_defaults(func=_cmd_from_dist)
-
-    p = sub.add_parser("to-dist", parents=[common], help="empirical distribution of a bundle file")
-    p.add_argument("bundle")
-    p.set_defaults(func=_cmd_to_dist)
-
-    p = sub.add_parser("arith", parents=[common], help="add or multiply two expressions")
-    p.add_argument("op", choices=["add", "mul"])
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(func=_cmd_arith)
-
+    for name, (_, help_text, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
     return parser
 
 
@@ -339,11 +264,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 0 for --help and 2 for usage errors; keep the contract.
         return 0 if exc.code in (0, None) else 2
+    structured = args.format == "structured"
     try:
-        return args.func(args)
-    except (ParseError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        document, human = _COMMANDS[args.command][0](args)
+        # Rendered in full first, so a failure leaves stdout empty.
+        sys.stdout.write(_render(document, human, structured))
+    except (ValueError, OSError) as exc:  # ParseError is a ValueError
+        print(json.dumps({"error": str(exc)}) if structured else f"error: {exc}", file=sys.stderr)
         return 2
+    return 1 if document.get("status") == "fail" else 0
 
 
 def entry() -> None:

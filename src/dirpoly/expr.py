@@ -22,6 +22,11 @@ from __future__ import annotations
 from .core import DirPoly
 
 
+#: Deepest parenthesis nesting ``parse`` accepts; each level costs three
+#: stack frames, so this keeps well inside Python's recursion limit.
+MAX_NESTING = 100
+
+
 class ParseError(ValueError):
     """Syntax error in a polynomial expression, with its 0-based position."""
 
@@ -61,6 +66,7 @@ class _Parser:
     def __init__(self, tokens: list[tuple[str, str, int]]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -96,7 +102,11 @@ class _Parser:
                 return DirPoly.exponential(n)
             return DirPoly.constant(n)
         if kind == "LPAREN":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", position)
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             kind, _, pos = self.take()
             if kind != "RPAREN":
                 raise ParseError("expected ')'", pos)

@@ -22,6 +22,8 @@ from .core import DirPoly, LabelledBundle
 
 #: Per-side draw limit for the brute-force enumerator.
 ENUMERATION_MAX_DRAWS = 8
+#: Largest hom-set the brute-force enumerator builds.
+ENUMERATION_MAX_MORPHISMS = 100_000
 
 
 def hom_count(d: DirPoly, e: DirPoly) -> int:
@@ -87,16 +89,22 @@ def enumerate_bundle_morphisms(
 
     With ``fix_base`` only identity-on-outcomes morphisms are produced,
     which requires identical label sets.  Both sides are capped at
-    ENUMERATION_MAX_DRAWS draws; this is an oracle, not a production path.
+    ENUMERATION_MAX_DRAWS draws, and the closed-form count at
+    ENUMERATION_MAX_MORPHISMS before anything is built, so empty fibres
+    cannot slip past the draw cap; this is an oracle, not a production path.
     """
     if bd.num_draws > ENUMERATION_MAX_DRAWS or be.num_draws > ENUMERATION_MAX_DRAWS:
         raise ValueError(
             f"enumeration is limited to {ENUMERATION_MAX_DRAWS} draws per side"
         )
+    # hom_count_over_base also rejects mismatched label sets.
+    count = hom_count_over_base(bd, be) if fix_base else hom_count(bd.to_poly(), be.to_poly())
+    if count > ENUMERATION_MAX_MORPHISMS:
+        raise ValueError(
+            f"enumeration is limited to {ENUMERATION_MAX_MORPHISMS} morphisms"
+        )
     e_sizes = be.sizes_by_label
     if fix_base:
-        if set(bd.labels) != set(be.labels):
-            raise ValueError("fix_base requires identical label sets")
         base_choices = [(label,) for label, _ in bd.fibres]
     else:
         base_choices = [be.labels for _ in bd.fibres]

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import pytest
 
@@ -295,3 +296,50 @@ def test_measures_of_empty_polynomial_exits_2(capsys):
     code, _, err = run(capsys, "measures", "0")
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_zero_denominator_probability_exits_2(capsys, tmp_path):
+    path = write_dist_file(tmp_path / "dist.csv", [("a", "1/0"), ("b", "1")])
+    with pytest.raises(ValueError, match=r"dist\.csv:2: .*'1/0'"):
+        read_distribution(path)
+    code, out, err = run(capsys, "from-dist", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_deep_nesting_exits_2(capsys):
+    nested = "(" * 400 + "2^y + 1" + ")" * 400
+    code, out, err = run(capsys, "measures", nested)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+
+
+def test_structured_errors_are_json_on_stderr(capsys, tmp_path):
+    for argv in (
+        ["measures", "--format", "structured", "2^y + q"],
+        ["to-dist", "--format", "structured", str(tmp_path / "absent.csv")],
+        ["eval", "--format", "structured", "4^y", "1.5"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert list(json.loads(err)) == ["error"]
+    code, _, err = run(capsys, "measures", "--format", "structured", "2^y + q")
+    assert json.loads(err) == {"error": "unexpected character 'q' (at position 6)"}
+
+
+@pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 10_000,
+    reason="needs an int-to-str digit limit below the 10001 digits of powerProduct",
+)
+def test_rendering_error_leaves_stdout_empty(capsys):
+    # powerProduct of 1000*10^y is 10^10000; the polynomial and area render first.
+    for argv in (["measures", "1000*10^y"], ["measures", "--format", "structured", "1000*10^y"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 
 from dirpoly import DirPoly, ParseError, format_poly, parse
+from dirpoly.expr import MAX_NESTING
 
 from helpers import polys
 
@@ -112,3 +113,10 @@ def test_parse_respects_arithmetic(d, e):
     right = format_poly(e)
     assert parse(f"({left}) + ({right})") == d + e
     assert parse(f"({left}) * ({right})") == d * e
+
+
+def test_nesting_limit():
+    deepest = "(" * MAX_NESTING + "2^y + 1" + ")" * MAX_NESTING
+    assert parse(deepest) == DirPoly({2: 1, 1: 1})
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse("(" + deepest + ")")

@@ -124,6 +124,15 @@ def test_enumerate_guard():
         enumerate_bundle_morphisms(small, big)
 
 
+def test_enumerate_caps_morphisms_before_building():
+    # 8^8 morphisms within the draw cap, and 8^20 from fibres with no draws.
+    singletons = DirPoly({1: 8}).to_bundle()
+    with pytest.raises(ValueError, match="morphisms"):
+        enumerate_bundle_morphisms(singletons, singletons)
+    with pytest.raises(ValueError, match="morphisms"):
+        enumerate_bundle_morphisms(DirPoly({0: 20}).to_bundle(), DirPoly({0: 8}).to_bundle())
+
+
 def test_enumerated_morphisms_are_valid_and_distinct():
     bd = DirPoly({2: 1, 0: 1}).to_bundle()
     be = DirPoly({3: 1, 1: 1}).to_bundle()
