@@ -40,9 +40,10 @@ from .measures import (
     measures,
 )
 
-_NAT_RE = re.compile(r"\d+")
-# A zero denominator is rejected here, not left to raise ZeroDivisionError.
-_FRACTION_RE = re.compile(r"\d+(/0*[1-9]\d*)?")
+# ASCII digits only, as in expressions.  A zero denominator is rejected
+# here, not left to raise ZeroDivisionError.
+_NAT_RE = re.compile(r"[0-9]+")
+_FRACTION_RE = re.compile(r"[0-9]+(/0*[1-9][0-9]*)?")
 
 
 def _data_rows(path: str, column: str, value_re: re.Pattern, value_rule: str) -> list[tuple[str, str]]:

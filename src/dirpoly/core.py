@@ -49,6 +49,13 @@ class DirPoly:
         self._terms = canonical
 
     @classmethod
+    def _wrap(cls, terms: dict[int, int]) -> DirPoly:
+        """Adopt an already canonical dict, such as a sum or product of canonical terms."""
+        d = object.__new__(cls)
+        d._terms = terms
+        return d
+
+    @classmethod
     def zero(cls) -> DirPoly:
         return cls()
 
@@ -98,7 +105,7 @@ class DirPoly:
         out = dict(self._terms)
         for base, coeff in other._terms.items():
             out[base] = out.get(base, 0) + coeff
-        return DirPoly(out)
+        return DirPoly._wrap(out)
 
     __radd__ = __add__
 
@@ -106,13 +113,7 @@ class DirPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[int, int] = {}
-        # Bases multiply (m^y * n^y == (m*n)^y), coefficients multiply.
-        for b1, c1 in self._terms.items():
-            for b2, c2 in other._terms.items():
-                base = b1 * b2
-                out[base] = out.get(base, 0) + c1 * c2
-        return DirPoly(out)
+        return DirPoly._wrap(_mul_terms(self._terms, other._terms))
 
     __rmul__ = __mul__
 
@@ -143,15 +144,17 @@ class DirPoly:
         sizes: list[int] = []
         for base in sorted(self._terms, reverse=True):
             sizes.extend([base] * self._terms[base])
-        if labels is None:
-            labels = [f"x{i}" for i in range(1, len(sizes) + 1)]
-        else:
-            labels = list(labels)
-            if len(labels) != len(sizes):
-                raise ValueError(
-                    f"{len(labels)} labels supplied for {len(sizes)} outcomes"
-                )
-        return LabelledBundle(tuple(zip(labels, sizes)))
+        return LabelledBundle.from_sizes(sizes, labels)
+
+
+def _mul_terms(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
+    """Product of term dicts: m^y * n^y == (m*n)^y, coefficients multiply."""
+    out: dict[int, int] = {}
+    for b1, c1 in a.items():
+        for b2, c2 in b.items():
+            base = b1 * b2
+            out[base] = out.get(base, 0) + c1 * c2
+    return out
 
 
 def _coerce(value: object) -> DirPoly:

@@ -6,10 +6,11 @@ Grammar (whitespace insignificant, no implicit multiplication):
     term := atom ('*' atom)*
     atom := NAT | NAT '^' 'y' | '(' expr ')'
 
-NAT is a decimal natural.  A bare natural k denotes the constant k * 1^y,
-so "0" is the zero polynomial while "0^y" is not.  The exponent variable is
-the literal character 'y'; anything else after '^' is rejected, as are
-numeric exponents.
+NAT is a run of ASCII decimal digits; any other digit character is
+rejected.  A bare natural k denotes the constant k * 1^y, so "0" is the
+zero polynomial while "0^y" is not.  The exponent variable is the literal
+character 'y'; anything else after '^' is rejected, as are numeric
+exponents.
 
 ``format_poly`` writes the canonical form back out: bases descending, each
 term as "a*n^y", dropping a coefficient of 1, printing base-1 terms as the
@@ -19,7 +20,9 @@ polynomial gives the polynomial back.
 
 from __future__ import annotations
 
-from .core import DirPoly
+import re
+
+from .core import DirPoly, _mul_terms
 
 
 #: Deepest parenthesis nesting ``parse`` accepts; each level costs three
@@ -35,95 +38,83 @@ class ParseError(ValueError):
         self.position = position
 
 
-_TOKEN_CHARS = {"+": "PLUS", "*": "STAR", "^": "CARET", "(": "LPAREN", ")": "RPAREN"}
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c.isdigit():
-            start = i
-            while i < len(text) and text[i].isdigit():
-                i += 1
-            tokens.append(("NAT", text[start:i], start))
-        elif c in _TOKEN_CHARS:
-            tokens.append((_TOKEN_CHARS[c], c, i))
-            i += 1
-        elif c == "y":
-            tokens.append(("Y", c, i))
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(("END", "", len(text)))
-    return tokens
+# Tokens are ASCII naturals and single characters; whitespace separates.
+# Any other character is rejected before parsing starts, so it is reported
+# ahead of any syntax error.
+_TOKEN = re.compile(r"[0-9]+|\S")
+_BAD_CHAR = re.compile(r"[^0-9+*^()y\s]")
 
 
 class _Parser:
-    def __init__(self, tokens: list[tuple[str, str, int]]):
-        self.tokens = tokens
+    """Recursive descent; each rule returns a fresh canonical term dict."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _TOKEN.findall(text) + [""]  # "" ends the input
         self.pos = 0
         self.depth = 0
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
+    def error(self, message: str, index: int) -> ParseError:
+        """A ParseError at the position of token ``index``."""
+        starts = [m.start() for m in _TOKEN.finditer(self.text)] + [len(self.text)]
+        return ParseError(message, starts[index])
 
-    def take(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expr(self) -> DirPoly:
+    def expr(self) -> dict[int, int]:
         result = self.term()
-        while self.peek()[0] == "PLUS":
-            self.take()
-            result = result + self.term()
+        while self.tokens[self.pos] == "+":
+            self.pos += 1
+            for base, coeff in self.term().items():
+                result[base] = result.get(base, 0) + coeff
         return result
 
-    def term(self) -> DirPoly:
+    def term(self) -> dict[int, int]:
         result = self.atom()
-        while self.peek()[0] == "STAR":
-            self.take()
-            result = result * self.atom()
+        while self.tokens[self.pos] == "*":
+            self.pos += 1
+            result = _mul_terms(result, self.atom())
         return result
 
-    def atom(self) -> DirPoly:
-        kind, value, position = self.take()
-        if kind == "NAT":
-            n = int(value)
-            if self.peek()[0] == "CARET":
-                self.take()
-                kind, _, pos = self.take()
-                if kind != "Y":
-                    raise ParseError("exponent must be the literal 'y'", pos)
-                return DirPoly.exponential(n)
-            return DirPoly.constant(n)
-        if kind == "LPAREN":
+    def atom(self) -> dict[int, int]:
+        index = self.pos
+        value = self.tokens[index]
+        self.pos += 1
+        if value.isdigit():
+            try:
+                n = int(value)
+            except ValueError:  # past the interpreter's int/str digit limit
+                raise self.error(f"number too long ({len(value)} digits)", index) from None
+            if self.tokens[self.pos] != "^":
+                return {1: n} if n else {}
+            if self.tokens[self.pos + 1] != "y":
+                raise self.error("exponent must be the literal 'y'", self.pos + 1)
+            self.pos += 2
+            return {n: 1}
+        if value == "(":
             if self.depth == MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", position)
+                raise self.error(f"parentheses nested deeper than {MAX_NESTING}", index)
             self.depth += 1
             inner = self.expr()
             self.depth -= 1
-            kind, _, pos = self.take()
-            if kind != "RPAREN":
-                raise ParseError("expected ')'", pos)
+            if self.tokens[self.pos] != ")":
+                raise self.error("expected ')'", self.pos)
+            self.pos += 1
             return inner
-        if kind == "END":
-            raise ParseError("unexpected end of input", position)
-        raise ParseError(f"expected a number or '(', got {value!r}", position)
+        if not value:
+            raise self.error("unexpected end of input", index)
+        raise self.error(f"expected a number or '(', got {value!r}", index)
 
 
 def parse(text: str) -> DirPoly:
     """Parse an expression to its canonical polynomial."""
-    parser = _Parser(_tokenize(text))
+    bad = _BAD_CHAR.search(text)
+    if bad:
+        raise ParseError(f"unexpected character {bad.group()!r}", bad.start())
+    parser = _Parser(text)
     result = parser.expr()
-    kind, value, position = parser.peek()
-    if kind != "END":
-        raise ParseError(f"unexpected trailing input {value!r}", position)
-    return result
+    value = parser.tokens[parser.pos]
+    if value:
+        raise parser.error(f"unexpected trailing input {value!r}", parser.pos)
+    return DirPoly._wrap(result)
 
 
 def format_poly(d: DirPoly) -> str:

@@ -16,10 +16,11 @@ the same outcome labels.  H(d, e) is the expected surprisal of the model
 under the data; it is +inf as soon as the model gives an impossible outcome
 positive data mass, in which case the cross width is 0 and the cross
 rectangle-area check is reported as degenerate rather than pass/fail.
-Kullback-Leibler divergence falls out as H(d, e) - H(d).
+Kullback-Leibler divergence is the data mean of log2(p/q), not H(d, e) - H(d).
 
 Fibre sizes of 0 follow the limit convention 0 * log 0 == 0 throughout.
-All floats are computed from exact integers at the last step.
+Every logarithm is of an exact integer ratio, through log1p near 1, and
+every sum is a math.fsum, so nothing cancels.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .rect import rect_of
 
 #: Default relative tolerance of the rectangle-area checks.
 DEFAULT_TOL = 1e-9
+_LN2 = math.log(2)
 
 
 @dataclass(frozen=True)
@@ -57,17 +59,26 @@ class CrossMeasures:
     kl: float
 
 
+def _log2_ratio(num: int, den: int) -> float:
+    """log2(num/den) of positive integers; log1p of the exact ratio minus 1
+    when the ratio lies in (1/2, 2), where log2(num) - log2(den) cancels."""
+    if num < 2 * den and den < 2 * num:
+        return math.log1p((num - den) / den) / _LN2
+    return math.log2(num) - math.log2(den)
+
+
+def _entropy(sizes, total: int) -> float:
+    """Entropy of (size s, count c) pairs over ``total`` draws: the fsum of
+    c*s/total * log2(total/s); empty fibres add nothing."""
+    return math.fsum(c * s / total * _log2_ratio(total, s) for s, c in sizes if s)
+
+
 def entropy(bundle: LabelledBundle) -> float:
     """Base-2 Shannon entropy of the bundle's empirical distribution."""
     total = bundle.num_draws
     if total == 0:
         raise ValueError("entropy is undefined for a bundle with no draws")
-    log_total = math.log2(total)
-    h = 0.0
-    for _, size in bundle.fibres:
-        if size:
-            h += size / total * (log_total - math.log2(size))
-    return h
+    return _entropy(((size, 1) for _, size in bundle.fibres), total)
 
 
 def measures(d: DirPoly) -> Measures:
@@ -75,7 +86,7 @@ def measures(d: DirPoly) -> Measures:
     r = rect_of(d)
     if r.area == 0:
         raise ValueError("measures are undefined for a polynomial with no draws")
-    h = entropy(d.to_bundle())
+    h = _entropy(d.terms.items(), r.area)
     return Measures(
         area=r.area,
         power_product=r.power_product,
@@ -138,32 +149,25 @@ def cross_measures(bd: LabelledBundle, be: LabelledBundle) -> CrossMeasures:
     if d_total == 0 or e_total == 0:
         raise ValueError("cross measures are undefined for a bundle with no draws")
 
-    e_sizes = be.sizes_by_label
-    log_e_total = math.log2(e_total)
-    h = 0.0
-    for label, d_size in bd.fibres:
-        if d_size == 0:
-            continue
-        e_size = e_sizes[label]
-        if e_size == 0:
-            h = math.inf
-            break
-        h += d_size / d_total * (log_e_total - math.log2(e_size))
-
     power = hom_count_over_base(bd, be)
-    width = 0.0 if power == 0 else 2.0 ** (math.log2(power) / d_total)
-    if math.isinf(h):
-        length = math.inf
-        kl = math.inf
-    else:
-        length = 2.0**h
-        kl = h - entropy(bd)
+    if power == 0:  # positive data mass on an empty model fibre
+        return CrossMeasures(cross_entropy=math.inf, cross_area=e_total, cross_width=0.0,
+                             cross_length=math.inf, kl=math.inf)
+    e_sizes = be.sizes_by_label
+    h_terms, kl_terms = [], []
+    for label, d in bd.fibres:
+        if d:
+            e = e_sizes[label]
+            h_terms.append(d / d_total * _log2_ratio(e_total, e))
+            # KL from p/q = (d*E)/(D*e) itself: H(d,e) - H(d) cancels near 0.
+            kl_terms.append(d / d_total * _log2_ratio(d * e_total, d_total * e))
+    h = math.fsum(h_terms)
     return CrossMeasures(
         cross_entropy=h,
         cross_area=e_total,
-        cross_width=width,
-        cross_length=length,
-        kl=kl,
+        cross_width=2.0 ** (math.log2(power) / d_total),
+        cross_length=2.0**h,
+        kl=math.fsum(kl_terms),
     )
 
 

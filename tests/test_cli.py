@@ -343,3 +343,14 @@ def test_rendering_error_leaves_stdout_empty(capsys):
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1
+
+
+def test_non_ascii_digits_exit_2(capsys, tmp_path):
+    code, out, err = run(capsys, "measures", "\u0663^y")
+    assert (code, out) == (2, "")
+    assert err == "error: unexpected character '\u0663' (at position 0)\n"
+    assert run(capsys, "eval", "2^y", "\u0663")[:2] == (2, "")
+    bundle = write_bundle_file(tmp_path / "b.csv", [("a", "\u0663")])
+    assert run(capsys, "to-dist", bundle)[:2] == (2, "")
+    dist = write_dist_file(tmp_path / "d.csv", [("a", "\u0661/2"), ("b", "1/2")])
+    assert run(capsys, "from-dist", dist)[:2] == (2, "")

@@ -180,3 +180,16 @@ def test_eval_is_a_rig_map_per_argument(d, e):
 def test_cardinalities_match_eval(d):
     assert d.num_outcomes == d(0)
     assert d.num_draws == d(1)
+
+
+def _is_canonical(d):
+    terms = d.terms
+    return DirPoly(terms) == d and all(
+        type(b) is int and b >= 0 and type(c) is int and c > 0 for b, c in terms.items()
+    )
+
+
+@given(polys, polys)
+def test_sum_and_product_are_canonical(d, e):
+    for r in (d + e, d * e, d + 3, 0 * d):
+        assert _is_canonical(r)

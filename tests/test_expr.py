@@ -1,5 +1,9 @@
 """Expression parsing and canonical printing."""
 
+import sys
+from functools import reduce
+from operator import add
+
 import pytest
 from hypothesis import given
 
@@ -120,3 +124,39 @@ def test_nesting_limit():
     assert parse(deepest) == DirPoly({2: 1, 1: 1})
     with pytest.raises(ParseError, match="nested deeper"):
         parse("(" + deepest + ")")
+
+
+@given(polys)
+def test_parse_gives_a_canonical_poly(d):
+    r = parse(format_poly(d))
+    assert DirPoly(r.terms) == r
+    assert all(c > 0 for c in r.terms.values())
+
+
+def test_long_sum_matches_fold_of_add():
+    bases = [(k * 37) % 503 for k in range(2000)]
+    text = " + ".join(f"{k % 9 + 1}*{b}^y" for k, b in enumerate(bases))
+    expected = reduce(add, (DirPoly({b: k % 9 + 1}) for k, b in enumerate(bases)))
+    assert parse(text) == expected
+
+
+@pytest.mark.parametrize("text, position", [
+    ("\u0663^y", 0),          # ARABIC-INDIC DIGIT THREE: a decimal digit, not ASCII
+    ("2^y + 1\u0663", 7),     # glued to an ASCII literal
+    ("\u00b2^y", 0),          # SUPERSCRIPT TWO: isdigit() but not a decimal
+    ("2^y + \uff13", 6),      # FULLWIDTH DIGIT THREE
+])
+def test_non_ascii_digits_are_rejected(text, position):
+    with pytest.raises(ParseError, match="unexpected character") as e:
+        parse(text)
+    assert e.value.position == position
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="no int/str digit limit on this interpreter")
+def test_literal_past_digit_limit_is_a_parse_error():
+    limit = sys.get_int_max_str_digits()
+    assert parse("2^y + " + "1" * limit) == DirPoly({2: 1, 1: int("1" * limit)})
+    with pytest.raises(ParseError, match="digits") as e:
+        parse("2^y + " + "1" * (limit + 1))
+    assert e.value.position == 6

@@ -15,6 +15,7 @@ from dirpoly import (
     entropy,
     measures,
 )
+from dirpoly.measures import DEFAULT_TOL
 
 from helpers import nonempty_bundles, nonempty_polys
 
@@ -232,3 +233,37 @@ def test_kl_is_nonnegative(ps):
 @given(nonempty_bundles)
 def test_kl_of_bundle_with_itself_is_zero(b):
     assert cross_measures(b, b).kl == 0.0
+
+
+def _mp_entropy(sizes):
+    total = sum(sizes)
+    return -mpmath.fsum(
+        mpmath.mpf(s) / total * mpmath.log(mpmath.mpf(s) / total, 2) for s in sizes if s
+    )
+
+
+@pytest.mark.parametrize("n", [10**9, 10**12, 10**15])
+def test_entropy_of_one_dominant_fibre_against_mpmath(n):
+    with mpmath.workdps(60):
+        h = _mp_entropy([n - 1, 1])
+    assert entropy(LabelledBundle.from_sizes([n - 1, 1])) == pytest.approx(
+        float(h), rel=DEFAULT_TOL, abs=0
+    )
+
+
+# The data (N, N) against the model (N+1, N-1), where KL is about
+# 1/(2 N^2 ln 2).  At N = 10^6 the data is written (1, 1), the same
+# distribution, because the cross width of (N, N) builds a 4*10^7-bit
+# exact product.
+@pytest.mark.parametrize("d, e", [
+    ([10**4, 10**4], [10**4 + 1, 10**4 - 1]),
+    ([1, 1], [10**6 + 1, 10**6 - 1]),
+])
+def test_kl_near_zero_against_mpmath(d, e):
+    with mpmath.workdps(60):
+        kl = mpmath.fsum(
+            mpmath.mpf(di) / sum(d) * mpmath.log(mpmath.mpf(di) * sum(e) / (sum(d) * ei), 2)
+            for di, ei in zip(d, e)
+        )
+    cm = cross_measures(LabelledBundle.from_sizes(d), LabelledBundle.from_sizes(e))
+    assert cm.kl == pytest.approx(float(kl), rel=DEFAULT_TOL, abs=0)
