@@ -14,12 +14,19 @@ token Infinity).  Exit codes: 0 success or passed check, 1 failed check,
 2 parse, validation, file or rendering error, reported on stderr as
 ``error: <message>`` or, structured, as ``{"error": "<message>"}`` with
 stdout left empty.
+
+Human output prints integers of up to MAX_OUTPUT_DIGITS digits, past the
+interpreter's int-to-str limit too; ``eval``, ``hom-count``, ``measures``
+and ``check`` estimate the size of their big integer from logarithms and
+refuse a result past that cap before computing it.  Structured output keeps
+the interpreter's limit, which ``json.loads`` applies when reading it back.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -44,6 +51,18 @@ from .measures import (
 # here, not left to raise ZeroDivisionError.
 _NAT_RE = re.compile(r"[0-9]+")
 _FRACTION_RE = re.compile(r"[0-9]+(/0*[1-9][0-9]*)?")
+
+#: Most decimal digits of an integer the CLI prints or computes for output;
+#: converting that many past the int-to-str limit takes about 0.2 s.
+MAX_OUTPUT_DIGITS = 100_000
+_TOO_LONG = f"an integer of more than {MAX_OUTPUT_DIGITS} digits is past the output limit"
+# A natural number of more bits than this has more than MAX_OUTPUT_DIGITS digits.
+_MAX_OUTPUT_BITS = math.ceil(MAX_OUTPUT_DIGITS * math.log2(10))
+# Pieces below 10**512 convert under any int-to-str limit (the least allowed is 640).
+_PIECE_DIGITS = 512
+# Counts and exponents are clamped to this before they meet a float; times a
+# log10 of at least log10(2) the clamp is still far past the output limit.
+_COUNT_CLAMP = 10**300
 
 
 def _data_rows(path: str, column: str, value_re: re.Pattern, value_rule: str) -> list[tuple[str, str]]:
@@ -79,9 +98,67 @@ def read_distribution(path: str) -> RationalDistribution:
     return RationalDistribution(tuple((label, Fraction(text)) for label, text in rows))
 
 
+def _decimal(n: int) -> str:
+    """Decimal text of a natural number of at most MAX_OUTPUT_DIGITS digits.
+
+    Past the interpreter's int-to-str limit the number is split by divmod
+    with 10**(512 * 2**i), halving the digits at each level, into pieces
+    that ``str`` converts; the limit itself is left alone.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    if n.bit_length() > _MAX_OUTPUT_BITS:
+        raise ValueError(_TOO_LONG)
+    powers = [10**_PIECE_DIGITS]
+    while powers[-1] * powers[-1] <= n:
+        powers.append(powers[-1] * powers[-1])
+
+    def digits(x: int, level: int, width: int) -> str:
+        if level < 0:
+            return str(x).zfill(width)
+        high, low = divmod(x, powers[level])
+        low_width = _PIECE_DIGITS << level
+        return digits(high, level - 1, width - low_width) + digits(low, level - 1, low_width)
+
+    text = digits(n, len(powers) - 1, 0).lstrip("0")
+    if len(text) > MAX_OUTPUT_DIGITS:
+        raise ValueError(_TOO_LONG)
+    return text
+
+
 def _human(value) -> str:
-    """Human text of one value: floats to 12 significant digits."""
-    return f"{value:.12g}" if isinstance(value, float) else str(value)
+    """Human text of one value: floats to 12 significant digits, integers in full."""
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    return _decimal(value) if isinstance(value, int) else str(value)
+
+
+def _log10_eval(terms: dict[int, int], n: int) -> float:
+    """log10 of the sum of c * b**n over the terms {b: c}, to a small
+    fraction of a digit, without the powers; -inf where the sum is 0."""
+    logs = [math.log10(c) + (min(n, _COUNT_CLAMP) * math.log10(b) if b > 1 else 0.0)
+            for b, c in terms.items() if b or not n]
+    if not logs:
+        return -math.inf
+    top = max(logs)
+    return top + math.log10(math.fsum(10.0 ** (x - top) for x in logs))
+
+
+def _check_size(factors) -> None:
+    """Refuse a product of base**exp over (log10(base), exp) factors whose
+    estimated size is past MAX_OUTPUT_DIGITS, before it is computed.  The
+    estimate is off by far less than a digit; a result within one digit of
+    the limit is computed and left to the exact check in ``_decimal``."""
+    logs = [min(exp, _COUNT_CLAMP) * log for log, exp in factors if exp]
+    if -math.inf not in logs and sum(logs) >= MAX_OUTPUT_DIGITS + 1:
+        raise ValueError(_TOO_LONG)
+
+
+def _check_power_product(d) -> None:
+    """Size guard for P, the product of b**(c*b) over the terms c * b^y."""
+    _check_size((math.log10(b), c * b) for b, c in d.terms.items() if b > 1)
 
 
 def _render(document: dict, human, structured: bool) -> str:
@@ -106,7 +183,9 @@ def _cmd_eval(args):
     d = parse(args.expr)
     if not _NAT_RE.fullmatch(args.n):
         raise ValueError(f"the evaluation point must be a natural number, got {args.n!r}")
-    value = d(int(args.n))
+    n = int(args.n)
+    _check_size([(_log10_eval(d.terms, n), 1)])
+    value = d(n)
     return {"value": value}, [value]
 
 
@@ -123,11 +202,13 @@ def _measures_document(d, m) -> dict:
 
 def _cmd_measures(args):
     d = parse(args.expr)
+    _check_power_product(d)
     return _measures_document(d, measures(d)), None
 
 
 def _cmd_check(args):
     d = parse(args.expr)
+    _check_power_product(d)
     report = check_rectangle_area(d, tol=args.tol)
     status = "pass" if report.passed else "fail"
     document = {
@@ -173,9 +254,17 @@ def _cmd_kl(args):
 
 def _cmd_hom_count(args):
     if args.over_base:
-        count = hom_count_over_base(read_bundle(args.a), read_bundle(args.b))
+        bd, be = read_bundle(args.a), read_bundle(args.b)
+        e_sizes = be.sizes_by_label
+        if set(bd.labels) == set(e_sizes):  # else hom_count_over_base reports the mismatch
+            _check_size((math.log10(e_sizes[label]) if e_sizes[label] else -math.inf, size)
+                        for label, size in bd.fibres)
+        count = hom_count_over_base(bd, be)
     else:
-        count = hom_count(parse(args.a), parse(args.b))
+        d, e = parse(args.a), parse(args.b)
+        e_terms = e.terms
+        _check_size((_log10_eval(e_terms, m), a) for m, a in d.terms.items())
+        count = hom_count(d, e)
     return {"count": count}, [count]
 
 
@@ -187,14 +276,14 @@ def _cmd_from_dist(args):
         "total": bundle.num_draws,
         "polynomial": poly_text,
     }
-    bundle_lines = ["label,fibre", *(f"{label},{size}" for label, size in bundle.fibres)]
+    bundle_lines = ["label,fibre", *(f"{label},{_human(size)}" for label, size in bundle.fibres)]
+    total = _human(bundle.num_draws)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as f:
             f.write("\n".join(bundle_lines) + "\n")
-        return document, [f"wrote {args.output}", f"polynomial: {poly_text}",
-                          f"total: {bundle.num_draws}"]
+        return document, [f"wrote {args.output}", f"polynomial: {poly_text}", f"total: {total}"]
     # Stdout stays a valid bundle file; the extras ride along as comments.
-    return document, [*bundle_lines, f"# polynomial: {poly_text}", f"# total: {bundle.num_draws}"]
+    return document, [*bundle_lines, f"# polynomial: {poly_text}", f"# total: {total}"]
 
 
 def _cmd_to_dist(args):

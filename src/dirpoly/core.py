@@ -16,10 +16,17 @@ carries that view with named outcomes, which matters once two bundles have
 to be compared outcome-by-outcome (cross entropy, fibrewise hom counts).
 
 Everything here is exact; Python integers are arbitrary precision.
+Exact products of many factors (the power product P of ``rect``, the hom
+counts of ``homs``) go through ``_product``, which multiplies the two halves
+of its list recursively: at each level of that tree the big operands have
+about the same total size, so the cost is about one multiplication of the
+result's size per level, not one per factor as in a left fold, where every
+step multiplies the growing result by one more factor.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -155,6 +162,15 @@ def _mul_terms(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
             base = b1 * b2
             out[base] = out.get(base, 0) + c1 * c2
     return out
+
+
+def _product(factors: list[int]) -> int:
+    """Exact product of the factors, multiplying the two halves recursively;
+    short lists go to ``math.prod``."""
+    if len(factors) <= 8:
+        return math.prod(factors)
+    half = len(factors) // 2
+    return _product(factors[:half]) * _product(factors[half:])
 
 
 def _coerce(value: object) -> DirPoly:

@@ -8,7 +8,8 @@ Counting them factors per source fibre:
     |Hom(d, e)| = product over fibres d[i] of (sum over fibres e[j] of |e[j]|**|d[i]|)
 
 with 0**0 == 1: an empty source fibre maps into any fibre in exactly one
-way (the empty function).  ``hom_count`` evaluates that closed form;
+way (the empty function).  ``hom_count`` evaluates that closed form,
+multiplying its factors with ``core._product``'s balanced tree;
 ``enumerate_bundle_morphisms`` actually constructs every morphism and is
 the independent check for it, guarded to small sizes.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import DirPoly, LabelledBundle
+from .core import DirPoly, LabelledBundle, _product
 
 #: Per-side draw limit for the brute-force enumerator.
 ENUMERATION_MAX_DRAWS = 8
@@ -32,10 +33,11 @@ def hom_count(d: DirPoly, e: DirPoly) -> int:
     The inner sum over e's fibres of |e[j]|**m is e evaluated at m, so the
     count is the product of e(m)**a over the terms a * m^y of d.
     """
-    result = 1
-    for base, coeff in d.terms.items():
-        result *= e(base) ** coeff
-    return result
+    terms = d.terms.items()
+    values = [e(base) for base, _ in terms]
+    if 0 in values:  # coefficients are positive: the count is 0 whatever the other powers
+        return 0
+    return _product([value ** coeff for value, (_, coeff) in zip(values, terms)])
 
 
 def hom_count_over_base(bd: LabelledBundle, be: LabelledBundle) -> int:
@@ -48,10 +50,9 @@ def hom_count_over_base(bd: LabelledBundle, be: LabelledBundle) -> int:
     e_sizes = be.sizes_by_label
     if set(d_sizes) != set(e_sizes):
         raise ValueError("bundles must have identical label sets")
-    result = 1
-    for label, d_size in d_sizes.items():
-        result *= e_sizes[label] ** d_size
-    return result
+    if any(d_size and not e_sizes[label] for label, d_size in d_sizes.items()):
+        return 0  # a positive fibre has no map into an empty one; skip the other powers
+    return _product([e_sizes[label] ** d_size for label, d_size in d_sizes.items()])
 
 
 @dataclass(frozen=True)

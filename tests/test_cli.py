@@ -7,7 +7,8 @@ import sys
 import pytest
 
 from dirpoly import DirPoly, LabelledBundle, cross_measures, measures
-from dirpoly.cli import main, read_bundle, read_distribution
+from dirpoly import cli
+from dirpoly.cli import MAX_OUTPUT_DIGITS, main, read_bundle, read_distribution
 
 
 def run(capsys, *argv):
@@ -337,12 +338,66 @@ def test_structured_errors_are_json_on_stderr(capsys, tmp_path):
     reason="needs an int-to-str digit limit below the 10001 digits of powerProduct",
 )
 def test_rendering_error_leaves_stdout_empty(capsys):
-    # powerProduct of 1000*10^y is 10^10000; the polynomial and area render first.
-    for argv in (["measures", "1000*10^y"], ["measures", "--format", "structured", "1000*10^y"]):
+    # The polynomial and area render first.  powerProduct of 10000*10^y has
+    # 100001 digits, one past the human output limit; that of 1000*10^y, 10001
+    # digits, is past the int-to-str limit that structured output keeps.
+    for argv in (["measures", "10000*10^y"], ["measures", "--format", "structured", "1000*10^y"]):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1
+
+
+def from_decimal(text):
+    """int(text) for any number of digits, without the int/str digit limit."""
+    value = 0
+    for i in range(0, len(text), 1000):
+        value = value * 10 ** len(text[i:i + 1000]) + int(text[i:i + 1000])
+    return value
+
+
+def test_human_output_prints_integers_past_the_str_limit(capsys):
+    for argv, value in (
+        (["eval", "2^y + 3", "20000"], 2**20000 + 3),
+        (["hom-count", "5000*2^y", "3^y + 1"], 10**5000),
+        (["eval", "7^y", "118329"], 7**118329),  # 100000 digits, the most printed
+        (["eval", "10^y", "99999"], 10**99999),
+    ):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out[0] != "0" and out.endswith("\n") and out.count("\n") == 1
+        assert from_decimal(out[:-1]) == value
+    code, out, _ = run(capsys, "measures", "1000*10^y")
+    assert code == 0
+    assert out.splitlines()[2] == "powerProduct: 1" + "0" * 10000
+    # One digit past the limit: computed, then refused at rendering.
+    code, out, err = run(capsys, "eval", "10^y", str(MAX_OUTPUT_DIGITS))
+    assert (code, out) == (2, "")
+    assert err == f"error: an integer of more than {MAX_OUTPUT_DIGITS} digits is past the output limit\n"
+
+
+def test_size_guard_refuses_before_computing(capsys, tmp_path, monkeypatch):
+    def not_called(*args, **kwargs):
+        raise AssertionError("computed past the size guard")
+
+    for name in ("hom_count", "hom_count_over_base", "measures", "check_rectangle_area"):
+        monkeypatch.setattr(cli, name, not_called)
+    monkeypatch.setattr(DirPoly, "__call__", not_called)
+    data = write_bundle_file(tmp_path / "d.csv", [("a", 30_000_000), ("b", 1)])
+    model = write_bundle_file(tmp_path / "m.csv", [("a", 3), ("b", 1)])
+    for argv in (
+        ["eval", "3^y", "30000000"],
+        ["eval", "2^y + 1", "9" * 400],  # an evaluation point past the float range
+        ["hom-count", "5000000*2^y", "3^y + 1"],
+        ["hom-count", "1000000000^y", "2^y"],
+        ["hom-count", "--over-base", data, model],
+        ["measures", "100000*10^y"],
+        ["measures", "--format", "structured", "100000*10^y"],
+        ["check", "100000*10^y"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.count("\n") == 1 and "output limit" in err, argv
 
 
 def test_non_ascii_digits_exit_2(capsys, tmp_path):

@@ -1,9 +1,13 @@
 """Polynomial arithmetic, evaluation, and the bundle round trip."""
 
+import functools
+import operator
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given, strategies as st
 
 from dirpoly import DirPoly, LabelledBundle
+from dirpoly.core import _product
 
 from helpers import polys
 
@@ -193,3 +197,14 @@ def _is_canonical(d):
 def test_sum_and_product_are_canonical(d, e):
     for r in (d + e, d * e, d + 3, 0 * d):
         assert _is_canonical(r)
+
+
+factors = st.one_of(st.integers(0, 3), st.integers(0, 2**70), st.integers(10**1000, 10**1001))
+
+
+@given(st.lists(factors, max_size=40))
+@example([])
+@example([0] + [10**1000 + k for k in range(39)])
+@example([1] * 17 + [10**1001 + 7] * 23)
+def test_product_is_the_left_fold(fs):
+    assert _product(fs) == functools.reduce(operator.mul, fs, 1)

@@ -175,3 +175,36 @@ def test_hom_count_matches_enumeration(d, e):
 def test_hom_count_turns_sums_into_products(d, e, f):
     # Hom(d + e, f) factors over the coproduct decomposition of the source.
     assert hom_count(d + e, f) == hom_count(d, f) * hom_count(e, f)
+
+
+def test_hom_counts_are_the_left_fold():
+    d = DirPoly({base: base % 4 + 1 for base in range(0, 34)})
+    e = DirPoly({0: 2, 1: 3, 5: 1, 9: 2})
+    count = 1
+    for base, coeff in d.terms.items():
+        count *= e(base) ** coeff
+    assert hom_count(d, e) == count
+    # An e without positive bases has e(m) == 0 for m >= 1.
+    assert hom_count(d, DirPoly({0: 3})) == 0
+
+    bd = LabelledBundle.from_sizes([40 * k % 97 for k in range(35)])
+    be = LabelledBundle.from_sizes([k % 13 + 1 for k in range(35)])
+    count = 1
+    for (_, d_size), (_, e_size) in zip(bd.fibres, be.fibres):
+        count *= e_size**d_size
+    assert hom_count_over_base(bd, be) == count
+    # x1 is empty on both sides (0**0 == 1); x2 is a positive data fibre
+    # over an empty model fibre, which admits no morphism.
+    assert bd.sizes[:2] == (0, 40)
+    assert hom_count_over_base(bd, LabelledBundle.from_sizes([0, *be.sizes[1:]])) == count
+    assert hom_count_over_base(bd, LabelledBundle.from_sizes([1, 0, *be.sizes[2:]])) == 0
+
+
+def test_zero_over_base_count_takes_no_power():
+    class NoPower(int):
+        def __pow__(self, exponent):
+            raise AssertionError("power taken")
+
+    data = LabelledBundle.from_sizes([10**9, 1])
+    model = LabelledBundle.from_sizes([NoPower(3), 0])
+    assert hom_count_over_base(data, model) == 0

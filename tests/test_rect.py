@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from dirpoly import ONE, ZERO, DirPoly, RectValue, rect_of
 
@@ -149,6 +149,8 @@ def test_area_is_draw_count(d):
 
 
 @given(polys, polys)
+# W^A past the float range (about 1.8e308): the oracle must not overflow.
+@example(DirPoly({0: 1, 1: 1, 6: 8, 7: 8, 8: 8}), DirPoly({0: 1, 5: 7, 6: 8, 7: 8, 8: 8}))
 def test_add_width_is_weighted_geometric_mean(d, e):
     # the float (A, W) model of addition must agree with the exact route.
     r, s = rect_of(d), rect_of(e)
@@ -157,5 +159,14 @@ def test_add_width_is_weighted_geometric_mean(d, e):
     combined = (r + s).width().value
     wr, ws = r.width().value, s.width().value
     a, b = r.area, s.area
-    direct = (wr**a * ws**b) ** (1.0 / (a + b))
+    direct = 2 ** ((a * math.log2(wr) + b * math.log2(ws)) / (a + b))
     assert combined == pytest.approx(direct, rel=1e-9)
+
+
+def test_power_product_is_the_left_fold():
+    # 38 factors base**(coeff*base), some of thousands of bits.
+    d = DirPoly({base: base % 5 + 1 for base in range(0, 40)})
+    power = 1
+    for base, coeff in d.terms.items():
+        power *= base ** (coeff * base) if base >= 2 else 1
+    assert rect_of(d).power_product == power
