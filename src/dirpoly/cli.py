@@ -15,11 +15,11 @@ token Infinity).  Exit codes: 0 success or passed check, 1 failed check,
 ``error: <message>`` or, structured, as ``{"error": "<message>"}`` with
 stdout left empty.
 
-Human output prints integers of up to MAX_OUTPUT_DIGITS digits, past the
-interpreter's int-to-str limit too; ``eval``, ``hom-count``, ``measures``
-and ``check`` estimate the size of their big integer from logarithms and
-refuse a result past that cap before computing it.  Structured output keeps
-the interpreter's limit, which ``json.loads`` applies when reading it back.
+Integers are written up to MAX_OUTPUT_DIGITS digits by ``expr._decimal``:
+human integer fields, and polynomial text and probabilities in both formats.
+``eval``, ``hom-count``, ``measures`` and ``check`` estimate their big
+integer's size from logarithms and refuse one past that cap before computing
+it.  Structured integer fields keep the interpreter's int-to-str limit.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .distributions import (
     from_rational_distribution,
     to_distribution,
 )
-from .expr import format_poly, parse
+from .expr import MAX_OUTPUT_DIGITS, _TOO_LONG, _decimal, format_poly, parse
 from .homs import hom_count, hom_count_over_base
 from .measures import (
     DEFAULT_TOL,
@@ -52,14 +52,6 @@ from .measures import (
 _NAT_RE = re.compile(r"[0-9]+")
 _FRACTION_RE = re.compile(r"[0-9]+(/0*[1-9][0-9]*)?")
 
-#: Most decimal digits of an integer the CLI prints or computes for output;
-#: converting that many past the int-to-str limit takes about 0.2 s.
-MAX_OUTPUT_DIGITS = 100_000
-_TOO_LONG = f"an integer of more than {MAX_OUTPUT_DIGITS} digits is past the output limit"
-# A natural number of more bits than this has more than MAX_OUTPUT_DIGITS digits.
-_MAX_OUTPUT_BITS = math.ceil(MAX_OUTPUT_DIGITS * math.log2(10))
-# Pieces below 10**512 convert under any int-to-str limit (the least allowed is 640).
-_PIECE_DIGITS = 512
 # Counts and exponents are clamped to this before they meet a float; times a
 # log10 of at least log10(2) the clamp is still far past the output limit.
 _COUNT_CLAMP = 10**300
@@ -98,41 +90,16 @@ def read_distribution(path: str) -> RationalDistribution:
     return RationalDistribution(tuple((label, Fraction(text)) for label, text in rows))
 
 
-def _decimal(n: int) -> str:
-    """Decimal text of a natural number of at most MAX_OUTPUT_DIGITS digits.
-
-    Past the interpreter's int-to-str limit the number is split by divmod
-    with 10**(512 * 2**i), halving the digits at each level, into pieces
-    that ``str`` converts; the limit itself is left alone.
-    """
-    try:
-        return str(n)
-    except ValueError:
-        pass
-    if n.bit_length() > _MAX_OUTPUT_BITS:
-        raise ValueError(_TOO_LONG)
-    powers = [10**_PIECE_DIGITS]
-    while powers[-1] * powers[-1] <= n:
-        powers.append(powers[-1] * powers[-1])
-
-    def digits(x: int, level: int, width: int) -> str:
-        if level < 0:
-            return str(x).zfill(width)
-        high, low = divmod(x, powers[level])
-        low_width = _PIECE_DIGITS << level
-        return digits(high, level - 1, width - low_width) + digits(low, level - 1, low_width)
-
-    text = digits(n, len(powers) - 1, 0).lstrip("0")
-    if len(text) > MAX_OUTPUT_DIGITS:
-        raise ValueError(_TOO_LONG)
-    return text
-
-
 def _human(value) -> str:
     """Human text of one value: floats to 12 significant digits, integers in full."""
     if isinstance(value, float):
         return f"{value:.12g}"
     return _decimal(value) if isinstance(value, int) else str(value)
+
+
+def _ratio(p: Fraction) -> str:
+    """``str(p)``, past the int-to-str limit too."""
+    return _decimal(p.numerator) + (f"/{_decimal(p.denominator)}" if p.denominator > 1 else "")
 
 
 def _log10_eval(terms: dict[int, int], n: int) -> float:
@@ -287,11 +254,9 @@ def _cmd_from_dist(args):
 
 
 def _cmd_to_dist(args):
-    dist = to_distribution(read_bundle(args.bundle))
-    document = {
-        "distribution": [{"label": label, "probability": str(p)} for label, p in dist.entries],
-    }
-    return document, ["label,probability", *(f"{label},{p}" for label, p in dist.entries)]
+    entries = [(label, _ratio(p)) for label, p in to_distribution(read_bundle(args.bundle)).entries]
+    document = {"distribution": [{"label": label, "probability": p} for label, p in entries]}
+    return document, ["label,probability", *(f"{label},{p}" for label, p in entries)]
 
 
 def _cmd_arith(args):

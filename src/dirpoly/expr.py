@@ -14,8 +14,10 @@ exponents.
 
 ``format_poly`` writes the canonical form back out: bases descending, each
 term as "a*n^y", dropping a coefficient of 1, printing base-1 terms as the
-bare coefficient, and the zero polynomial as "0".  Parsing a printed
-polynomial gives the polynomial back.
+bare coefficient, and the zero polynomial as "0".  It writes numbers of up
+to MAX_OUTPUT_DIGITS digits, but ``parse`` (like every file reader) reads
+literals only up to the interpreter's int/str digit limit (4300 digits by
+default): a printed polynomial parses back only while its numbers are that short.
 """
 
 from __future__ import annotations
@@ -28,6 +30,13 @@ from .core import DirPoly, _mul_terms
 #: Deepest parenthesis nesting ``parse`` accepts; each level costs three
 #: stack frames, so this keeps well inside Python's recursion limit.
 MAX_NESTING = 100
+
+#: Most decimal digits of an integer written as text; longer output is refused.
+MAX_OUTPUT_DIGITS = 100_000
+_TOO_LONG = f"an integer of more than {MAX_OUTPUT_DIGITS} digits is past the output limit"
+# Pieces below 10**512 convert under any int-to-str limit (the least allowed is 640).
+_PIECE_DIGITS = 512
+_PIECE = 10**_PIECE_DIGITS
 
 
 class ParseError(ValueError):
@@ -117,18 +126,43 @@ def parse(text: str) -> DirPoly:
     return DirPoly._wrap(result)
 
 
+def _decimal(n: int) -> str:
+    """Decimal text of a natural number of at most MAX_OUTPUT_DIGITS digits,
+    converted in 512-digit pieces past the interpreter's int-to-str limit."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    if 3 * n.bit_length() > 10 * MAX_OUTPUT_DIGITS:  # 2**10 > 10**3: too long, skip the peel
+        raise ValueError(_TOO_LONG)
+    pieces = []
+    while n >= _PIECE:
+        n, low = divmod(n, _PIECE)
+        pieces.append(str(low).zfill(_PIECE_DIGITS))
+    text = str(n) + "".join(reversed(pieces))
+    if len(text) > MAX_OUTPUT_DIGITS:
+        raise ValueError(_TOO_LONG)
+    return text
+
+
 def format_poly(d: DirPoly) -> str:
     """Canonical text of a polynomial; inverse of ``parse``."""
     terms = d.terms
-    if not terms:
-        return "0"
+    try:
+        return _terms_text(terms, str)
+    except ValueError:  # a number past the int-to-str limit
+        return _terms_text(terms, _decimal)
+
+
+def _terms_text(terms: dict[int, int], text) -> str:
+    """The canonical terms joined by " + ", each number written by ``text``."""
     parts = []
     for base in sorted(terms, reverse=True):
         coeff = terms[base]
         if base == 1:
-            parts.append(str(coeff))
+            parts.append(text(coeff))
         elif coeff == 1:
-            parts.append(f"{base}^y")
+            parts.append(f"{text(base)}^y")
         else:
-            parts.append(f"{coeff}*{base}^y")
-    return " + ".join(parts)
+            parts.append(f"{text(coeff)}*{text(base)}^y")
+    return " + ".join(parts) or "0"

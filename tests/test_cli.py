@@ -2,13 +2,17 @@
 
 import json
 import math
+import random
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
 from dirpoly import DirPoly, LabelledBundle, cross_measures, measures
 from dirpoly import cli
 from dirpoly.cli import MAX_OUTPUT_DIGITS, main, read_bundle, read_distribution
+from dirpoly.expr import _decimal
 
 
 def run(capsys, *argv):
@@ -409,3 +413,65 @@ def test_non_ascii_digits_exit_2(capsys, tmp_path):
     assert run(capsys, "to-dist", bundle)[:2] == (2, "")
     dist = write_dist_file(tmp_path / "d.csv", [("a", "\u0661/2"), ("b", "1/2")])
     assert run(capsys, "from-dist", dist)[:2] == (2, "")
+
+
+def test_decimal_converter_edges():
+    # str(Decimal(n)) converts without the int/str digit limit, by libmpdec
+    # rather than by pieces of 10**512; from_decimal reads 1000-digit chunks.
+    rng = random.Random(4301)
+    piece = 10**512
+    numbers = [10**4300, rng.randrange(10**4300, 10**4301), 10**99999 + 1,
+               rng.randrange(10**99999, 10**100000), 10**100000 - 1]
+    for k in (9, 10, 16):  # 512*k digits, and the neighbours of such numbers
+        numbers += [piece**k - 2, piece**k - 1, piece**k, 10 ** (512 * k - 1) - 1, 10 ** (512 * k - 1)]
+    numbers += [10**k + 1 for k in (4300, 5120, 10000, 30000)]  # every inner piece zero
+    for n in numbers:
+        text = _decimal(n)
+        assert text == str(Decimal(n)), len(text)
+        assert from_decimal(text) == n
+    for n in (10**100000, rng.randrange(10**100000, 10**100001), 10**120000):
+        with pytest.raises(ValueError, match="output limit"):
+            _decimal(n)
+
+
+def test_polynomial_text_past_the_str_limit(capsys):
+    nines = "9" * 3000
+    value = (10**3000 - 1) ** 2
+    code, out, _ = run(capsys, "arith", "mul", nines, nines)
+    assert code == 0 and len(out) == 6001
+    assert from_decimal(out[:-1]) == value
+    code, out, _ = run(capsys, "arith", "mul", "--format", "structured", nines, nines)
+    assert code == 0
+    assert from_decimal(json.loads(out)["polynomial"]) == value
+
+
+def test_to_dist_probabilities_past_the_str_limit(capsys, tmp_path):
+    rng = random.Random(20)
+    sizes = [rng.randrange(10**4299, 10**4300) for _ in range(20)]
+    bundle = write_bundle_file(tmp_path / "b.csv", [(f"x{i}", s) for i, s in enumerate(sizes)])
+    expected = [(p.numerator, p.denominator) for p in (Fraction(s, sum(sizes)) for s in sizes)]
+    assert max(q for _, q in expected) >= 10**4300
+    code, out, _ = run(capsys, "to-dist", bundle)
+    assert code == 0
+    rows = [line.split(",")[1].split("/") for line in out.splitlines()[1:]]
+    assert [(from_decimal(p), from_decimal(q)) for p, q in rows] == expected
+    code, out, _ = run(capsys, "to-dist", "--format", "structured", bundle)
+    assert code == 0
+    rows = [entry["probability"].split("/") for entry in json.loads(out)["distribution"]]
+    assert [(from_decimal(p), from_decimal(q)) for p, q in rows] == expected
+
+
+def test_from_dist_polynomial_past_the_str_limit(capsys, tmp_path):
+    q1, q2 = 10**2999 + 3, 10**2999 + 9  # odd and coprime: the lcm 2*q1*q2 has 6000 digits
+    assert math.gcd(q1, q2) == 1
+    dist = write_dist_file(tmp_path / "d.csv", [
+        ("a", f"1/{2 * q1}"), ("b", f"{q1 - 1}/{2 * q1}"),
+        ("c", f"1/{2 * q2}"), ("d", f"{q2 - 1}/{2 * q2}"),
+    ])
+    code, out, _ = run(capsys, "from-dist", dist)
+    assert code == 0
+    *_, poly, total = out.splitlines()
+    assert total.startswith("# total: ") and from_decimal(total[9:]) == 2 * q1 * q2
+    assert poly.startswith("# polynomial: ")
+    bases = [from_decimal(term.removesuffix("^y")) for term in poly[14:].split(" + ")]
+    assert bases == sorted([q2, (q1 - 1) * q2, q1, (q2 - 1) * q1], reverse=True)
