@@ -146,23 +146,16 @@ def _decimal(n: int) -> str:
 
 
 def format_poly(d: DirPoly) -> str:
-    """Canonical text of a polynomial; inverse of ``parse``."""
+    """Canonical text of a polynomial; inverse of ``parse`` while every number
+    is within the interpreter's int/str digit limit."""
     terms = d.terms
-    try:
-        return _terms_text(terms, str)
-    except ValueError:  # a number past the int-to-str limit
-        return _terms_text(terms, _decimal)
-
-
-def _terms_text(terms: dict[int, int], text) -> str:
-    """The canonical terms joined by " + ", each number written by ``text``."""
     parts = []
     for base in sorted(terms, reverse=True):
         coeff = terms[base]
         if base == 1:
-            parts.append(text(coeff))
+            parts.append(_decimal(coeff))
         elif coeff == 1:
-            parts.append(f"{text(base)}^y")
+            parts.append(f"{_decimal(base)}^y")
         else:
-            parts.append(f"{text(coeff)}*{text(base)}^y")
+            parts.append(f"{_decimal(coeff)}*{_decimal(base)}^y")
     return " + ".join(parts) or "0"
