@@ -37,7 +37,7 @@ from .distributions import (
     from_rational_distribution,
     to_distribution,
 )
-from .expr import MAX_OUTPUT_DIGITS, _TOO_LONG, _decimal, format_poly, parse
+from .expr import MAX_OUTPUT_DIGITS, _TOO_LONG, _decimal, _ratio, format_poly, parse
 from .homs import hom_count, hom_count_over_base
 from .measures import (
     DEFAULT_TOL,
@@ -57,8 +57,9 @@ _FRACTION_RE = re.compile(r"[0-9]+(/0*[1-9][0-9]*)?")
 _COUNT_CLAMP = 10**300
 
 
-def _data_rows(path: str, column: str, value_re: re.Pattern, value_rule: str) -> list[tuple[str, str]]:
-    """(label, value) rows of a comma-separated file with header ``label,<column>``."""
+def _data_rows(path: str, column: str, value_re: re.Pattern, value_rule: str, convert) -> tuple:
+    """(label, value) rows of a comma-separated file with header ``label,<column>``,
+    each value ``convert`` applied to the integers of its text ``p`` or ``p/q``."""
     rows = []
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -71,23 +72,28 @@ def _data_rows(path: str, column: str, value_re: re.Pattern, value_rule: str) ->
             rows.append((fields[0], fields[1], lineno))
     if not rows or rows[0][:2] != ("label", column):
         raise ValueError(f"{path}: first row must be the header 'label,{column}'")
+    values = []
     for label, text, lineno in rows[1:]:
         if not label:
             raise ValueError(f"{path}:{lineno}: empty label")
         if not value_re.fullmatch(text):
             raise ValueError(f"{path}:{lineno}: {value_rule}, got {text!r}")
-    return [(label, text) for label, text, _ in rows[1:]]
+        parts = text.split("/")
+        try:
+            numbers = [int(part) for part in parts]
+        except ValueError:  # past the interpreter's int/str digit limit
+            raise ValueError(f"{path}:{lineno}: number too long ({max(map(len, parts))} digits)") from None
+        values.append((label, convert(*numbers)))
+    return tuple(values)
 
 
 def read_bundle(path: str) -> LabelledBundle:
-    rows = _data_rows(path, "fibre", _NAT_RE, "fibre size must be a natural number")
-    return LabelledBundle(tuple((label, int(text)) for label, text in rows))
+    return LabelledBundle(_data_rows(path, "fibre", _NAT_RE, "fibre size must be a natural number", int))
 
 
 def read_distribution(path: str) -> RationalDistribution:
-    rows = _data_rows(path, "probability", _FRACTION_RE,
-                      "probability must be an integer or a fraction p/q with q > 0")
-    return RationalDistribution(tuple((label, Fraction(text)) for label, text in rows))
+    rule = "probability must be an integer or a fraction p/q with q > 0"
+    return RationalDistribution(_data_rows(path, "probability", _FRACTION_RE, rule, Fraction))
 
 
 def _human(value) -> str:
@@ -95,11 +101,6 @@ def _human(value) -> str:
     if isinstance(value, float):
         return f"{value:.12g}"
     return _decimal(value) if isinstance(value, int) else str(value)
-
-
-def _ratio(p: Fraction) -> str:
-    """``str(p)``, past the int-to-str limit too."""
-    return _decimal(p.numerator) + (f"/{_decimal(p.denominator)}" if p.denominator > 1 else "")
 
 
 def _log10_eval(terms: dict[int, int], n: int) -> float:
@@ -197,8 +198,7 @@ def _cmd_check(args):
 
 
 def _cmd_cross(args):
-    bd = read_bundle(args.data)
-    be = read_bundle(args.model)
+    bd, be = read_bundle(args.data), read_bundle(args.model)
     report = check_cross_rectangle_area(bd, be, tol=args.tol)
     cm = report.cross
     document = {
@@ -214,8 +214,7 @@ def _cmd_cross(args):
 
 
 def _cmd_kl(args):
-    bd = read_bundle(args.data)
-    be = read_bundle(args.model)
+    bd, be = read_bundle(args.data), read_bundle(args.model)
     return {"kl": cross_measures(bd, be).kl}, None
 
 
@@ -260,8 +259,7 @@ def _cmd_to_dist(args):
 
 
 def _cmd_arith(args):
-    a = parse(args.a)
-    b = parse(args.b)
+    a, b = parse(args.a), parse(args.b)
     text = format_poly(a + b if args.op == "add" else a * b)
     return {"polynomial": text}, [text]
 

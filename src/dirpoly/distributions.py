@@ -1,11 +1,11 @@
 """Exact rational distributions and their realisation as bundles.
 
-Any finite distribution whose probabilities are rational arises from a
-bundle: clear denominators by the least common multiple N of the reduced
-denominators, and give outcome x a fibre of prob(x) * N draws.  That bundle
-is the smallest one inducing the distribution, and dividing fibre sizes by
-the draw count recovers the probabilities exactly.  Probabilities are
-``fractions.Fraction`` end to end; nothing here touches floats.
+Any finite distribution with rational probabilities arises from a bundle:
+with N the lcm of the reduced denominators, outcome x gets prob(x) * N
+draws, the smallest bundle inducing it.  ``Fraction`` appears only at the
+API boundary, floats nowhere: checking and realising cost one lcm N, then
+integer numerators num * (N // den), which must sum to N, and
+``to_distribution`` one gcd per fibre to reduce size / draw count.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import LabelledBundle
+from .expr import _ratio
 
 
 @dataclass(frozen=True)
@@ -24,24 +25,22 @@ class RationalDistribution:
     entries: tuple[tuple[str, Fraction], ...]
 
     def __post_init__(self):
-        entries = tuple((label, Fraction(p)) for label, p in self.entries)
+        entries = tuple((label, p if isinstance(p, Fraction) else Fraction(p))
+                        for label, p in self.entries)
         object.__setattr__(self, "entries", entries)
         seen = set()
         for label, p in entries:
             if not isinstance(label, str):
                 raise TypeError("labels must be strings")
-            if p < 0:
-                raise ValueError(f"negative probability {p} for {label!r}")
+            if p.numerator < 0:
+                raise ValueError(f"negative probability {_ratio(p)} for {label!r}")
             if label in seen:
                 raise ValueError(f"duplicate outcome label {label!r}")
             seen.add(label)
-        total = sum((p for _, p in entries), start=Fraction(0))
-        if total != 1:
-            raise ValueError(f"probabilities must sum to 1 exactly, got {total}")
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.entries)
+        n = math.lcm(*(p.denominator for _, p in entries))
+        total = sum(p.numerator * (n // p.denominator) for _, p in entries)
+        if total != n:
+            raise ValueError(f"probabilities must sum to 1 exactly, got {_ratio(Fraction(total, n))}")
 
     @property
     def probabilities(self) -> tuple[Fraction, ...]:
@@ -51,12 +50,11 @@ class RationalDistribution:
 def from_rational_distribution(dist: RationalDistribution) -> LabelledBundle:
     """The minimal bundle realising the distribution.
 
-    The draw count is the lcm of the reduced denominators, so every fibre
-    size prob(x) * N is an exact integer.
+    The draw count N is the lcm of the reduced denominators, so every fibre
+    size prob(x) * N is the exact integer num * (N // den).
     """
     n = math.lcm(*(p.denominator for _, p in dist.entries))
-    fibres = tuple((label, int(p * n)) for label, p in dist.entries)
-    return LabelledBundle(fibres)
+    return LabelledBundle(tuple((label, p.numerator * (n // p.denominator)) for label, p in dist.entries))
 
 
 def to_distribution(bundle: LabelledBundle) -> RationalDistribution:
@@ -64,9 +62,7 @@ def to_distribution(bundle: LabelledBundle) -> RationalDistribution:
     total = bundle.num_draws
     if total == 0:
         raise ValueError("a bundle with no draws has no distribution")
-    return RationalDistribution(
-        tuple((label, Fraction(size, total)) for label, size in bundle.fibres)
-    )
+    return RationalDistribution(tuple((label, Fraction(size, total)) for label, size in bundle.fibres))
 
 
 def product_bundle(b1: LabelledBundle, b2: LabelledBundle) -> LabelledBundle:

@@ -145,6 +145,12 @@ def _decimal(n: int) -> str:
     return text
 
 
+def _ratio(p) -> str:
+    """``str(p)`` of a Fraction, past the int-to-str limit too."""
+    text = "-" * (p < 0) + _decimal(abs(p.numerator))
+    return text + (f"/{_decimal(p.denominator)}" if p.denominator > 1 else "")
+
+
 def format_poly(d: DirPoly) -> str:
     """Canonical text of a polynomial; inverse of ``parse`` while every number
     is within the interpreter's int/str digit limit."""

@@ -475,3 +475,35 @@ def test_from_dist_polynomial_past_the_str_limit(capsys, tmp_path):
     assert poly.startswith("# polynomial: ")
     bases = [from_decimal(term.removesuffix("^y")) for term in poly[14:].split(" + ")]
     assert bases == sorted([q2, (q1 - 1) * q2, q1, (q2 - 1) * q1], reverse=True)
+
+
+def test_from_dist_sum_message_past_the_str_limit(capsys, tmp_path):
+    # The sum (q1 + q2) / (2*q1*q2) has a 6000-digit denominator; the message
+    # writes it out instead of failing to.
+    q1, q2 = 10**2999 + 3, 10**2999 + 9
+    dist = write_dist_file(tmp_path / "d.csv", [("a", f"1/{2 * q1}"), ("b", f"1/{2 * q2}")])
+    total = Fraction(1, 2 * q1) + Fraction(1, 2 * q2)
+    code, out, err = run(capsys, "from-dist", dist)
+    assert (code, out) == (2, "")
+    assert err == (f"error: probabilities must sum to 1 exactly, got "
+                   f"{Decimal(total.numerator)}/{Decimal(total.denominator)}\n")
+
+
+@pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 4401,
+    reason="needs an int-to-str digit limit below 4401 digits",
+)
+def test_numbers_past_the_str_limit_in_files_exit_2(capsys, tmp_path):
+    long = "7" * 4401
+    bundle = write_bundle_file(tmp_path / "b.csv", [("a", 1), ("b", long)])
+    code, out, err = run(capsys, "to-dist", bundle)
+    assert (code, out) == (2, "")
+    assert err == f"error: {bundle}:3: number too long (4401 digits)\n"
+    dist = write_dist_file(tmp_path / "d.csv", [("a", f"{long}/{long}9"), ("b", "0")])
+    code, out, err = run(capsys, "from-dist", dist)
+    assert (code, out) == (2, "")
+    assert err == f"error: {dist}:2: number too long (4402 digits)\n"
+    dist = write_dist_file(tmp_path / "d.csv", [("a", f"{long}/3"), ("b", "0")])
+    code, out, err = run(capsys, "from-dist", "--format", "structured", dist)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": f"{dist}:2: number too long (4401 digits)"}

@@ -1,6 +1,7 @@
 """Rational distributions and the minimal bundles that realise them."""
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -126,3 +127,78 @@ def test_validation():
         dist(("a", "3/2"), ("b", "-1/2"))
     with pytest.raises(TypeError):
         RationalDistribution(((1, F(1)),))
+
+
+# Inputs for the check, against an oracle that adds Fractions: reduced and
+# unreduced denominators, coprime ones and ones sharing factors, zeros, and
+# each probability given as an int, a "p/q" string or a Fraction.
+DENOMINATORS = [1, 2, 3, 4, 6, 7, 12, 30, 97, 2**61 - 1, 10**30]
+
+
+@st.composite
+def probability_entries(draw):
+    raw = draw(st.lists(st.tuples(st.integers(0, 40), st.sampled_from(DENOMINATORS)),
+                        min_size=1, max_size=8))
+    ps = [F(a, q) for a, q in raw]
+    if draw(st.booleans()) and sum(ps):
+        ps = [p / sum(ps) for p in ps]  # sums to 1
+    i = draw(st.integers(0, len(ps) - 1))
+    ps[i] += draw(st.sampled_from([0, 0, 0, -1, F(1, 97), F(-1, 6), -2 * ps[i]]))
+    entries = []
+    for i, p in enumerate(ps):
+        form = draw(st.sampled_from(["int", "str", "Fraction"]))
+        if form == "int" and p.denominator == 1:
+            p = int(p)
+        elif form == "str":
+            m = draw(st.sampled_from([1, 3]))
+            p = f"{p.numerator * m}/{p.denominator * m}"
+        entries.append((f"x{i}", p))
+    return tuple(entries)
+
+
+def check_by_fraction_sum(entries):
+    """The error message for these entries, or None where they are a distribution."""
+    for label, p in entries:
+        if F(p) < 0:
+            return f"negative probability {F(p)} for {label!r}"
+    total = sum((F(p) for _, p in entries), start=F(0))
+    return None if total == 1 else f"probabilities must sum to 1 exactly, got {total}"
+
+
+@given(probability_entries())
+def test_check_matches_a_fraction_sum(entries):
+    message = check_by_fraction_sum(entries)
+    if message is None:
+        d = RationalDistribution(entries)
+        assert d.entries == tuple((label, F(p)) for label, p in entries)
+        assert all(type(p) is F for p in d.probabilities)
+    else:
+        with pytest.raises(ValueError) as info:
+            RationalDistribution(entries)
+        assert str(info.value) == message
+
+
+valid_entries = probability_entries().filter(lambda e: check_by_fraction_sum(e) is None)
+
+
+@given(valid_entries)
+def test_fibres_are_probability_times_lcm(entries):
+    d = RationalDistribution(entries)
+    n = math.lcm(*(F(p).denominator for _, p in entries))
+    expected = tuple((label, F(p) * n) for label, p in entries)
+    assert from_rational_distribution(d).fibres == expected
+    assert all(type(size) is int for size in from_rational_distribution(d).sizes)
+
+
+@given(valid_entries)
+def test_round_trip_over_mixed_denominators(entries):
+    d = RationalDistribution(entries)
+    assert to_distribution(from_rational_distribution(d)) == d
+
+
+def test_negative_probability_message_past_the_str_limit():
+    q = 10**4400 + 3  # past the interpreter's default 4300-digit int-to-str limit
+    p = F(-1, q)
+    with pytest.raises(ValueError) as info:
+        RationalDistribution((("a", 1 - p), ("b", p)))
+    assert str(info.value) == f"negative probability -1/{Decimal(q)} for 'b'"
