@@ -38,7 +38,7 @@ from .distributions import (
     to_distribution,
 )
 from .expr import MAX_OUTPUT_DIGITS, _TOO_LONG, _decimal, _ratio, format_poly, parse
-from .homs import hom_count, hom_count_over_base
+from .homs import _aligned, hom_count, hom_count_over_base
 from .measures import (
     DEFAULT_TOL,
     check_cross_rectangle_area,
@@ -221,10 +221,7 @@ def _cmd_kl(args):
 def _cmd_hom_count(args):
     if args.over_base:
         bd, be = read_bundle(args.a), read_bundle(args.b)
-        e_sizes = be.sizes_by_label
-        if set(bd.labels) == set(e_sizes):  # else hom_count_over_base reports the mismatch
-            _check_size((math.log10(e_sizes[label]) if e_sizes[label] else -math.inf, size)
-                        for label, size in bd.fibres)
+        _check_size((math.log10(e) if e else -math.inf, d) for d, e in _aligned(bd, be))
         count = hom_count_over_base(bd, be)
     else:
         d, e = parse(args.a), parse(args.b)

@@ -173,6 +173,15 @@ def _product(factors: list[int]) -> int:
     return _product(factors[:half]) * _product(factors[half:])
 
 
+def _power_product(pairs: list[tuple[int, int]]) -> int:
+    """Exact product of base**exp over (exp, base) pairs, with 0**0 == 1; 0,
+    before any power is taken, when a zero base has a positive exponent."""
+    for exp, base in pairs:
+        if exp and not base:
+            return 0
+    return _product([base**exp for exp, base in pairs])
+
+
 def _coerce(value: object) -> DirPoly:
     if isinstance(value, DirPoly):
         return value

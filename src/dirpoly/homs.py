@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import DirPoly, LabelledBundle, _product
+from .core import DirPoly, LabelledBundle, _power_product
 
 #: Per-side draw limit for the brute-force enumerator.
 ENUMERATION_MAX_DRAWS = 8
@@ -33,11 +33,15 @@ def hom_count(d: DirPoly, e: DirPoly) -> int:
     The inner sum over e's fibres of |e[j]|**m is e evaluated at m, so the
     count is the product of e(m)**a over the terms a * m^y of d.
     """
-    terms = d.terms.items()
-    values = [e(base) for base, _ in terms]
-    if 0 in values:  # coefficients are positive: the count is 0 whatever the other powers
-        return 0
-    return _product([value ** coeff for value, (_, coeff) in zip(values, terms)])
+    return _power_product([(coeff, e(base)) for base, coeff in d.terms.items()])
+
+
+def _aligned(bd: LabelledBundle, be: LabelledBundle) -> list[tuple[int, int]]:
+    """[(|d[i]|, |e[i]|)] in bd's order, matched by label; the bundles must share their labels."""
+    e_sizes = be.sizes_by_label
+    if e_sizes.keys() != bd.sizes_by_label.keys():
+        raise ValueError("bundles must have identical label sets")
+    return [(d_size, e_sizes[label]) for label, d_size in bd.fibres]
 
 
 def hom_count_over_base(bd: LabelledBundle, be: LabelledBundle) -> int:
@@ -46,13 +50,7 @@ def hom_count_over_base(bd: LabelledBundle, be: LabelledBundle) -> int:
     Requires the two bundles to share their label set; fibres are matched
     by label, not position.
     """
-    d_sizes = bd.sizes_by_label
-    e_sizes = be.sizes_by_label
-    if set(d_sizes) != set(e_sizes):
-        raise ValueError("bundles must have identical label sets")
-    if any(d_size and not e_sizes[label] for label, d_size in d_sizes.items()):
-        return 0  # a positive fibre has no map into an empty one; skip the other powers
-    return _product([e_sizes[label] ** d_size for label, d_size in d_sizes.items()])
+    return _power_product(_aligned(bd, be))
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import DirPoly, LabelledBundle
-from .homs import hom_count_over_base
-from .rect import rect_of
+from .core import DirPoly, LabelledBundle, _power_product
+from .homs import _aligned
+from .rect import RectValue, rect_of
 
 #: Default relative tolerance of the rectangle-area checks.
 DEFAULT_TOL = 1e-9
@@ -67,10 +67,11 @@ def _log2_ratio(num: int, den: int) -> float:
     return math.log2(num) - math.log2(den)
 
 
-def _entropy(sizes, total: int) -> float:
-    """Entropy of (size s, count c) pairs over ``total`` draws: the fsum of
-    c*s/total * log2(total/s); empty fibres add nothing."""
-    return math.fsum(c * s / total * _log2_ratio(total, s) for s, c in sizes if s)
+def _entropy(triples, d_total: int, e_total: int) -> float:
+    """Cross entropy of (data size d, model size e, count c) triples over d_total
+    and e_total draws: the fsum of c*d/d_total * log2(e_total/e), empty data
+    fibres adding nothing; the entropy where every e is its d."""
+    return math.fsum(c * d / d_total * _log2_ratio(e_total, e) for d, e, c in triples if d)
 
 
 def entropy(bundle: LabelledBundle) -> float:
@@ -78,7 +79,7 @@ def entropy(bundle: LabelledBundle) -> float:
     total = bundle.num_draws
     if total == 0:
         raise ValueError("entropy is undefined for a bundle with no draws")
-    return _entropy(((size, 1) for _, size in bundle.fibres), total)
+    return _entropy(((size, size, 1) for _, size in bundle.fibres), total, total)
 
 
 def measures(d: DirPoly) -> Measures:
@@ -86,7 +87,8 @@ def measures(d: DirPoly) -> Measures:
     r = rect_of(d)
     if r.area == 0:
         raise ValueError("measures are undefined for a polynomial with no draws")
-    h = _entropy(d.terms.items(), r.area)
+    terms = d.terms
+    h = _entropy(zip(terms, terms, terms.values()), r.area, r.area)
     return Measures(
         area=r.area,
         power_product=r.power_product,
@@ -138,36 +140,27 @@ def check_rectangle_area(d: DirPoly, tol: float = DEFAULT_TOL) -> AreaCheck:
 def cross_measures(bd: LabelledBundle, be: LabelledBundle) -> CrossMeasures:
     """Cross measures of data bundle bd against model bundle be.
 
-    The bundles must carry identical label sets; fibres are matched by
-    label.  The cross width is the |d(1)|-th root of the exact integer
-    product of |e[i]|**|d[i]|.
+    Fibres are matched by label, as ``homs._aligned`` pairs them; the cross
+    width is the |d(1)|-th root of the exact product of |e[i]|**|d[i]|.
     """
+    pairs = _aligned(bd, be)
     d_total = bd.num_draws
     e_total = be.num_draws
-    if set(bd.labels) != set(be.labels):
-        raise ValueError("bundles must have identical label sets")
     if d_total == 0 or e_total == 0:
         raise ValueError("cross measures are undefined for a bundle with no draws")
 
-    power = hom_count_over_base(bd, be)
+    power = _power_product(pairs)
     if power == 0:  # positive data mass on an empty model fibre
         return CrossMeasures(cross_entropy=math.inf, cross_area=e_total, cross_width=0.0,
                              cross_length=math.inf, kl=math.inf)
-    e_sizes = be.sizes_by_label
-    h_terms, kl_terms = [], []
-    for label, d in bd.fibres:
-        if d:
-            e = e_sizes[label]
-            h_terms.append(d / d_total * _log2_ratio(e_total, e))
-            # KL from p/q = (d*E)/(D*e) itself: H(d,e) - H(d) cancels near 0.
-            kl_terms.append(d / d_total * _log2_ratio(d * e_total, d_total * e))
-    h = math.fsum(h_terms)
+    h = _entropy(((d, e, 1) for d, e in pairs), d_total, e_total)
     return CrossMeasures(
         cross_entropy=h,
         cross_area=e_total,
-        cross_width=2.0 ** (math.log2(power) / d_total),
+        cross_width=RectValue(d_total, power).width().value,
         cross_length=2.0**h,
-        kl=math.fsum(kl_terms),
+        # KL from p/q = (d*E)/(D*e) itself: H(d,e) - H(d) cancels near 0.
+        kl=math.fsum(d / d_total * _log2_ratio(d * e_total, d_total * e) for d, e in pairs if d),
     )
 
 
