@@ -11,15 +11,15 @@ file formats:
 Output is human-readable by default; ``--format structured`` emits a single
 JSON document (floats round-trip exactly; +infinity is emitted as the JSON
 token Infinity).  Exit codes: 0 success or passed check, 1 failed check,
-2 parse, validation, file or rendering error, reported on stderr as
-``error: <message>`` or, structured, as ``{"error": "<message>"}`` with
-stdout left empty.
+2 parse, validation, file, rendering or float-range error, reported on
+stderr as ``error: <message>`` or, structured, as ``{"error": "<message>"}``
+with stdout left empty.
 
 Integers are written up to MAX_OUTPUT_DIGITS digits by ``expr._decimal``:
 human integer fields, and polynomial text and probabilities in both formats.
 ``eval``, ``hom-count``, ``measures`` and ``check`` estimate their big
 integer's size from logarithms and refuse one past that cap before computing
-it.  Structured integer fields keep the interpreter's int-to-str limit.
+it.  Structured integer fields keep the int-to-str limit, named when hit.
 """
 
 from __future__ import annotations
@@ -78,13 +78,17 @@ def _data_rows(path: str, column: str, value_re: re.Pattern, value_rule: str, co
             raise ValueError(f"{path}:{lineno}: empty label")
         if not value_re.fullmatch(text):
             raise ValueError(f"{path}:{lineno}: {value_rule}, got {text!r}")
-        parts = text.split("/")
-        try:
-            numbers = [int(part) for part in parts]
-        except ValueError:  # past the interpreter's int/str digit limit
-            raise ValueError(f"{path}:{lineno}: number too long ({max(map(len, parts))} digits)") from None
-        values.append((label, convert(*numbers)))
+        values.append((label, convert(*_naturals(text, f"{path}:{lineno}: "))))
     return tuple(values)
+
+
+def _naturals(text: str, where: str) -> list[int]:
+    """The naturals of a validated ``p`` or ``p/q``; an error names ``where``."""
+    parts = text.split("/")
+    try:
+        return [int(part) for part in parts]
+    except ValueError:  # past the interpreter's int/str digit limit
+        raise ValueError(f"{where}number too long ({max(map(len, parts))} digits)") from None
 
 
 def read_bundle(path: str) -> LabelledBundle:
@@ -136,7 +140,11 @@ def _render(document: dict, human, structured: bool) -> str:
     to print other ``key: value`` lines, or a list of lines.
     """
     if structured:
-        return json.dumps(document) + "\n"
+        try:
+            return json.dumps(document) + "\n"
+        except ValueError:  # an integer past the interpreter's int/str digit limit
+            limit = sys.get_int_max_str_digits()
+            raise ValueError(f"an integer of more than {limit} digits is past the structured output limit") from None
     if human is None:
         human = document
     if isinstance(human, dict):
@@ -151,7 +159,7 @@ def _cmd_eval(args):
     d = parse(args.expr)
     if not _NAT_RE.fullmatch(args.n):
         raise ValueError(f"the evaluation point must be a natural number, got {args.n!r}")
-    n = int(args.n)
+    (n,) = _naturals(args.n, "evaluation point: ")
     _check_size([(_log10_eval(d.terms, n), 1)])
     value = d(n)
     return {"value": value}, [value]
@@ -319,8 +327,10 @@ def main(argv: list[str] | None = None) -> int:
         document, human = _COMMANDS[args.command][0](args)
         # Rendered in full first, so a failure leaves stdout empty.
         sys.stdout.write(_render(document, human, structured))
-    except (ValueError, OSError) as exc:  # ParseError is a ValueError
-        print(json.dumps({"error": str(exc)}) if structured else f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, OverflowError) as exc:  # ParseError is a ValueError
+        # An OverflowError's text names the float operation, not the result.
+        message = "a result is past the float range" if isinstance(exc, OverflowError) else str(exc)
+        print(json.dumps({"error": message}) if structured else f"error: {message}", file=sys.stderr)
         return 2
     return 1 if document.get("status") == "fail" else 0
 

@@ -8,8 +8,8 @@ Counting them factors per source fibre:
     |Hom(d, e)| = product over fibres d[i] of (sum over fibres e[j] of |e[j]|**|d[i]|)
 
 with 0**0 == 1: an empty source fibre maps into any fibre in exactly one
-way (the empty function).  ``hom_count`` evaluates that closed form,
-multiplying its factors with ``core._product``'s balanced tree;
+way (the empty function).  Both counts multiply through
+``core._power_product``, the over-base one over the pairs of ``_aligned``;
 ``enumerate_bundle_morphisms`` actually constructs every morphism and is
 the independent check for it, guarded to small sizes.
 """
@@ -89,8 +89,9 @@ def enumerate_bundle_morphisms(
     With ``fix_base`` only identity-on-outcomes morphisms are produced,
     which requires identical label sets.  Both sides are capped at
     ENUMERATION_MAX_DRAWS draws, and the closed-form count at
-    ENUMERATION_MAX_MORPHISMS before anything is built, so empty fibres
-    cannot slip past the draw cap; this is an oracle, not a production path.
+    ENUMERATION_MAX_MORPHISMS before anything is built; every base map visited
+    carries a morphism, so that cap bounds the loop too, however many empty
+    fibres slip past the draw cap.  This is an oracle, not a production path.
     """
     if bd.num_draws > ENUMERATION_MAX_DRAWS or be.num_draws > ENUMERATION_MAX_DRAWS:
         raise ValueError(
@@ -106,18 +107,16 @@ def enumerate_bundle_morphisms(
     if fix_base:
         base_choices = [(label,) for label, _ in bd.fibres]
     else:
-        base_choices = [be.labels for _ in bd.fibres]
+        # A positive fibre has no map into an empty one: offer it the others only.
+        nonempty = tuple(label for label, size in be.fibres if size)
+        base_choices = [nonempty if d_size else be.labels for _, d_size in bd.fibres]
 
     out: list[BundleMorphism] = []
     for targets in itertools.product(*base_choices):
         base_map = tuple(zip(bd.labels, targets))
-        # Per source fibre, every function into the chosen target fibre;
-        # a positive fibre into an empty one admits none.
-        fibre_spaces = []
-        for (label, d_size), dst in zip(bd.fibres, targets):
-            fibre_spaces.append(
-                list(itertools.product(range(e_sizes[dst]), repeat=d_size))
-            )
+        # Per source fibre, every function into the chosen target fibre.
+        fibre_spaces = [itertools.product(range(e_sizes[dst]), repeat=d_size)
+                        for (_, d_size), dst in zip(bd.fibres, targets)]
         for total_maps in itertools.product(*fibre_spaces):
             out.append(BundleMorphism(base_map, tuple(total_maps)))
     return out

@@ -20,7 +20,8 @@ Kullback-Leibler divergence is the data mean of log2(p/q), not H(d, e) - H(d).
 
 Fibre sizes of 0 follow the limit convention 0 * log 0 == 0 throughout.
 Every logarithm is of an exact integer ratio, through log1p near 1, and
-every sum is a math.fsum, so nothing cancels.
+every sum is a math.fsum, so nothing cancels.  H(d) is H(d, d): one sum,
+``_entropy``, gives both, and ``RectValue.width`` gives both widths.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ exactly as (A, P) with P = W**A, both arbitrary-precision naturals.  In that
 encoding addition is integer multiplication of the P parts and
 multiplication is an integer power combination, so all rig arithmetic stays
 exact; the only approximation happens in ``width()``, the final root
-extraction.
+extraction, which also gives the cross width of ``measures``.
 
 The encoding quotients out the width of zero-area elements: every (0, W)
 collapses to area 0, P = 1.  No rig operation lets the width of a zero-area
@@ -72,8 +72,8 @@ class RectValue:
         """The width P**(1/A) as a float; undefined at zero area."""
         if self.area == 0:
             raise ValueError("width is undefined at zero area")
-        if self.power_product == 0:
-            return WidthApprox(0.0, WIDTH_REL_ERROR)
+        if self.power_product <= 1:  # exact at any area, even past the float range
+            return WidthApprox(float(self.power_product), WIDTH_REL_ERROR)
         # math.log2 handles ints beyond float range, so huge P is fine.
         value = 2.0 ** (math.log2(self.power_product) / self.area)
         return WidthApprox(value, WIDTH_REL_ERROR)

@@ -1,13 +1,16 @@
 """End-to-end command-line behaviour: output, file formats, exit codes."""
 
+import io
 import json
 import math
 import random
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from dirpoly import DirPoly, LabelledBundle, cross_measures, measures
 from dirpoly import cli
@@ -507,3 +510,84 @@ def test_numbers_past_the_str_limit_in_files_exit_2(capsys, tmp_path):
     code, out, err = run(capsys, "from-dist", "--format", "structured", dist)
     assert (code, out) == (2, "")
     assert json.loads(err) == {"error": f"{dist}:2: number too long (4401 digits)"}
+
+
+def test_results_past_the_float_range_exit_2(capsys, tmp_path):
+    big = "1" + "0" * 400
+    one = write_bundle_file(tmp_path / "one.csv", [("a", 1)])
+    huge = write_bundle_file(tmp_path / "huge.csv", [("a", big)])
+    pair = write_bundle_file(tmp_path / "pair.csv", [("a", 1), ("b", 0)])
+    pair_huge = write_bundle_file(tmp_path / "pair_huge.csv", [("a", 1), ("b", big)])
+    for argv in (["measures", big], ["check", big], ["cross", one, huge], ["kl", one, huge],
+                 ["cross", pair, pair_huge]):
+        assert run(capsys, *argv) == (2, "", "error: a result is past the float range\n"), argv
+    code, out, err = run(capsys, "kl", "--format", "structured", one, huge)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "a result is past the float range"}
+
+
+@pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 4401,
+    reason="needs an int-to-str digit limit below 4401 digits",
+)
+def test_int_str_limit_errors_name_the_limit(capsys):
+    code, out, err = run(capsys, "eval", "2^y", "9" * 4401)
+    assert (code, out, err) == (2, "", "error: evaluation point: number too long (4401 digits)\n")
+    message = (f"an integer of more than {sys.get_int_max_str_digits()} digits"
+               " is past the structured output limit")
+    for argv in (["eval", "10^y", "5000"], ["measures", "1000*10^y"],
+                 ["hom-count", "5000*10^y", "10^y"]):
+        code, out, err = run(capsys, argv[0], "--format", "structured", *argv[1:])
+        assert (code, out) == (2, ""), argv
+        assert json.loads(err) == {"error": message}, argv
+
+
+# Numbers as text: small ones, zeros, and the edges of the float range and of
+# the interpreter's 4300-digit int-to-str limit.
+_small = st.integers(0, 12).map(str)
+_numbers = st.one_of(
+    _small,
+    st.sampled_from(["0", "1" + "0" * 308, "2" + "0" * 308, "1" + "0" * 400, "9" * 4300, "1" + "0" * 4300]),
+    st.integers(0, 10**400).map(str),
+)
+_exprs = st.lists(st.tuples(_numbers, st.one_of(_small, _numbers), st.booleans()), min_size=1, max_size=3).map(
+    lambda terms: " + ".join(f"{c}*{b}^y" if power else c for c, b, power in terms))
+_tols = st.sampled_from([[], ["--tol", "0"], ["--tol", "1e-3"], ["--tol", "1e400"], ["--tol", "nan"]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_main_keeps_the_exit_contract(tmp_path_factory, data):
+    # Data fibres stay small in cross and kl: their exact product is unbounded.
+    workdir = tmp_path_factory.mktemp("argv")
+
+    def bundle(sizes):
+        labels = data.draw(st.sampled_from(["abc", "abd", "ab"]))
+        return write_bundle_file(workdir / f"b{len(list(workdir.iterdir()))}.csv",
+                                 list(zip(labels, data.draw(st.lists(sizes, min_size=3, max_size=3)))))
+
+    command = data.draw(st.sampled_from(sorted(cli._COMMANDS)))
+    args = {
+        "eval": lambda: [data.draw(_exprs), data.draw(_numbers)],
+        "measures": lambda: [data.draw(_exprs)],
+        "check": lambda: [data.draw(_exprs), *data.draw(_tols)],
+        "cross": lambda: [bundle(_small), bundle(_numbers), *data.draw(_tols)],
+        "kl": lambda: [bundle(_small), bundle(_numbers)],
+        "hom-count": lambda: (["--over-base", bundle(_small), bundle(_numbers)] if data.draw(st.booleans())
+                              else [data.draw(_exprs), data.draw(_exprs)]),
+        "from-dist": lambda: [write_dist_file(workdir / "d.csv", data.draw(st.lists(
+            st.tuples(st.sampled_from("ab"), st.sampled_from(["0", "1", "1/2", "1/3", "2/3"])
+                      | st.tuples(_numbers, _numbers).map("/".join)), min_size=1, max_size=3)))],
+        "to-dist": lambda: [bundle(_numbers)],
+        "arith": lambda: [data.draw(st.sampled_from(["add", "mul"])), data.draw(_exprs), data.draw(_exprs)],
+    }[command]()
+    argv = [command, *data.draw(st.sampled_from([[], ["--format", "structured"]])), *args]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    event(f"{command}: exit {code}")
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1, argv
+    else:
+        assert err.getvalue() == "", argv

@@ -1,5 +1,8 @@
 """Hom-set counting against the brute-force enumeration oracle."""
 
+import itertools
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,6 +16,7 @@ from dirpoly import (
     morphism_is_valid,
     rect_of,
 )
+from dirpoly import homs
 
 from helpers import polys
 
@@ -208,3 +212,23 @@ def test_zero_over_base_count_takes_no_power():
     data = LabelledBundle.from_sizes([10**9, 1])
     model = LabelledBundle.from_sizes([NoPower(3), 0])
     assert hom_count_over_base(data, model) == 0
+
+
+def test_enumerator_visits_only_base_maps_with_a_morphism(monkeypatch):
+    # Eight singletons into one singleton and 30 empty fibres: one morphism,
+    # out of 31**8 base maps when positive fibres are offered empty ones too.
+    # Each visited base map builds one function space per source fibre.
+    spaces = []
+
+    def product(*iterables, repeat=None):
+        if repeat is not None:
+            spaces.append(repeat)
+            assert len(spaces) <= 8, "visited a base map without a morphism"
+            return itertools.product(*iterables, repeat=repeat)
+        return itertools.product(*iterables)
+
+    monkeypatch.setattr(homs, "itertools", SimpleNamespace(product=product))
+    bd = LabelledBundle.from_sizes([1] * 8)
+    be = LabelledBundle.from_sizes([1] + [0] * 30)
+    assert len(enumerate_bundle_morphisms(bd, be)) == 1
+    assert spaces == [1] * 8

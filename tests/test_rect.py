@@ -88,6 +88,12 @@ def test_width_handles_huge_power_products():
     assert r.width().value == pytest.approx(8.0**8, rel=1e-12)
 
 
+def test_width_is_exact_for_power_products_up_to_1_at_any_area():
+    assert RectValue(10**400, 1).width().value == 1.0
+    assert RectValue(10**400, 0).width().value == 0.0
+    assert RectValue(3, 1).width().value == 1.0
+
+
 def test_rect_of_examples():
     assert rect_of(DirPoly({4: 1, 1: 4})) == RectValue(8, 256)
     assert rect_of(DirPoly({4: 1, 1: 3})) == RectValue(7, 256)
