@@ -41,9 +41,10 @@ from .expr import MAX_OUTPUT_DIGITS, _TOO_LONG, _decimal, _ratio, format_poly, p
 from .homs import _aligned, hom_count, hom_count_over_base
 from .measures import (
     DEFAULT_TOL,
+    _cross_pairs,
+    _kl,
     check_cross_rectangle_area,
     check_rectangle_area,
-    cross_measures,
     measures,
 )
 
@@ -223,7 +224,7 @@ def _cmd_cross(args):
 
 def _cmd_kl(args):
     bd, be = read_bundle(args.data), read_bundle(args.model)
-    return {"kl": cross_measures(bd, be).kl}, None
+    return {"kl": _kl(*_cross_pairs(bd, be))}, None
 
 
 def _cmd_hom_count(args):

@@ -16,12 +16,20 @@ carries that view with named outcomes, which matters once two bundles have
 to be compared outcome-by-outcome (cross entropy, fibrewise hom counts).
 
 Everything here is exact; Python integers are arbitrary precision.
-Exact products of many factors (the power product P of ``rect``, the hom
-counts of ``homs``) go through ``_product``, which multiplies the two halves
-of its list recursively: at each level of that tree the big operands have
-about the same total size, so the cost is about one multiplication of the
-result's size per level, not one per factor as in a left fold, where every
-step multiplies the growing result by one more factor.
+Exact products of many factors go through ``_product``, which multiplies
+the two halves of its list recursively: at each level of that tree the big
+operands have about the same total size, so the cost is about one
+multiplication of the result's size per level, not one per factor as in a
+left fold, where every step multiplies the growing result by one more
+factor.  A product of powers of small bases, the power product P of
+``rect``, is cheaper as one squaring chain over the exponent bits
+(``_power_chain``): one squaring per bit of the largest exponent, each
+level's set bases multiplied in as one small ``_product``, with no separate
+power per term and no tree of large factors.  The chain's Python loop costs
+more than it saves on small results, so ``rect`` uses it only past a size
+cutoff.  The hom counts of ``homs`` still take each power b**e on its own
+and multiply them through the tree (``_power_product``): their main caller,
+the cross width, is meant to become a sum of logs and build no product.
 """
 
 from __future__ import annotations
@@ -173,6 +181,18 @@ def _product(factors: list[int]) -> int:
     return _product(factors[:half]) * _product(factors[half:])
 
 
+def _power_chain(pairs: list[tuple[int, int]]) -> int:
+    """Exact product of base**exp over (exp, base) pairs with positive
+    exponents, by one left-to-right squaring chain over the exponent bits:
+    at bit j the result so far is squared and multiplied by the ``_product``
+    of the bases whose exponent has bit j set (Straus's simultaneous
+    exponentiation; Knuth, TAOCP vol. 2, 4.6.3)."""
+    acc = 1
+    for j in reversed(range(max(exp for exp, _ in pairs).bit_length())):
+        acc = acc * acc * _product([base for exp, base in pairs if exp >> j & 1])
+    return acc
+
+
 def _power_product(pairs: list[tuple[int, int]]) -> int:
     """Exact product of base**exp over (exp, base) pairs, with 0**0 == 1; 0,
     before any power is taken, when a zero base has a positive exponent."""
@@ -214,6 +234,13 @@ class LabelledBundle:
             if label in seen:
                 raise ValueError(f"duplicate outcome label {label!r}")
             seen.add(label)
+
+    @classmethod
+    def _wrap(cls, fibres: tuple[tuple[str, int], ...]) -> LabelledBundle:
+        """Adopt fibres already known to be valid, such as a realised distribution's."""
+        b = object.__new__(cls)
+        object.__setattr__(b, "fibres", fibres)
+        return b
 
     @classmethod
     def from_sizes(cls, sizes: Iterable[int], labels: Iterable[str] | None = None) -> LabelledBundle:

@@ -5,7 +5,11 @@ with N the lcm of the reduced denominators, outcome x gets prob(x) * N
 draws, the smallest bundle inducing it.  ``Fraction`` appears only at the
 API boundary, floats nowhere: checking and realising cost one lcm N, then
 integer numerators num * (N // den), which must sum to N, and
-``to_distribution`` one gcd per fibre to reduce size / draw count.
+``to_distribution`` one gcd per fibre to reduce size / draw count.  The two
+conversions adopt what they build without checking it again: a valid
+distribution realises as a valid bundle (distinct string labels, natural
+sizes), and a bundle with draws has a valid distribution (exact fractions
+summing to 1).
 """
 
 from __future__ import annotations
@@ -42,6 +46,13 @@ class RationalDistribution:
         if total != n:
             raise ValueError(f"probabilities must sum to 1 exactly, got {_ratio(Fraction(total, n))}")
 
+    @classmethod
+    def _wrap(cls, entries: tuple[tuple[str, Fraction], ...]) -> RationalDistribution:
+        """Adopt entries already known to be valid, such as a bundle's distribution."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "entries", entries)
+        return d
+
     @property
     def probabilities(self) -> tuple[Fraction, ...]:
         return tuple(p for _, p in self.entries)
@@ -54,7 +65,8 @@ def from_rational_distribution(dist: RationalDistribution) -> LabelledBundle:
     size prob(x) * N is the exact integer num * (N // den).
     """
     n = math.lcm(*(p.denominator for _, p in dist.entries))
-    return LabelledBundle(tuple((label, p.numerator * (n // p.denominator)) for label, p in dist.entries))
+    return LabelledBundle._wrap(tuple((label, p.numerator * (n // p.denominator))
+                                      for label, p in dist.entries))
 
 
 def to_distribution(bundle: LabelledBundle) -> RationalDistribution:
@@ -62,7 +74,8 @@ def to_distribution(bundle: LabelledBundle) -> RationalDistribution:
     total = bundle.num_draws
     if total == 0:
         raise ValueError("a bundle with no draws has no distribution")
-    return RationalDistribution(tuple((label, Fraction(size, total)) for label, size in bundle.fibres))
+    return RationalDistribution._wrap(tuple((label, Fraction(size, total))
+                                            for label, size in bundle.fibres))
 
 
 def product_bundle(b1: LabelledBundle, b2: LabelledBundle) -> LabelledBundle:

@@ -21,7 +21,10 @@ Kullback-Leibler divergence is the data mean of log2(p/q), not H(d, e) - H(d).
 Fibre sizes of 0 follow the limit convention 0 * log 0 == 0 throughout.
 Every logarithm is of an exact integer ratio, through log1p near 1, and
 every sum is a math.fsum, so nothing cancels.  H(d) is H(d, d): one sum,
-``_entropy``, gives both, and ``RectValue.width`` gives both widths.
+``_entropy``, gives both, and ``RectValue.width`` gives both widths.  KL
+has its own sum, ``_kl``, so that it needs neither the cross width's exact
+product nor the cross length 2**H, which can pass the float range while
+KL is finite.
 """
 
 from __future__ import annotations
@@ -138,18 +141,33 @@ def check_rectangle_area(d: DirPoly, tol: float = DEFAULT_TOL) -> AreaCheck:
     )
 
 
+def _cross_pairs(bd: LabelledBundle, be: LabelledBundle) -> tuple[list[tuple[int, int]], int, int]:
+    """The ``homs._aligned`` pairs of data bd and model be, and both draw counts."""
+    pairs = _aligned(bd, be)
+    d_total = bd.num_draws
+    e_total = be.num_draws
+    if d_total == 0 or e_total == 0:
+        raise ValueError("cross measures are undefined for a bundle with no draws")
+    return pairs, d_total, e_total
+
+
+def _kl(pairs: list[tuple[int, int]], d_total: int, e_total: int) -> float:
+    """KL divergence over (data size, model size) pairs: the data mean of
+    log2(p/q), from p/q = (d*E)/(D*e) itself, where H(d,e) - H(d) cancels
+    near 0; +inf when a positive data fibre has an empty model fibre."""
+    for d, e in pairs:
+        if d and not e:
+            return math.inf
+    return math.fsum(d / d_total * _log2_ratio(d * e_total, d_total * e) for d, e in pairs if d)
+
+
 def cross_measures(bd: LabelledBundle, be: LabelledBundle) -> CrossMeasures:
     """Cross measures of data bundle bd against model bundle be.
 
     Fibres are matched by label, as ``homs._aligned`` pairs them; the cross
     width is the |d(1)|-th root of the exact product of |e[i]|**|d[i]|.
     """
-    pairs = _aligned(bd, be)
-    d_total = bd.num_draws
-    e_total = be.num_draws
-    if d_total == 0 or e_total == 0:
-        raise ValueError("cross measures are undefined for a bundle with no draws")
-
+    pairs, d_total, e_total = _cross_pairs(bd, be)
     power = _power_product(pairs)
     if power == 0:  # positive data mass on an empty model fibre
         return CrossMeasures(cross_entropy=math.inf, cross_area=e_total, cross_width=0.0,
@@ -160,8 +178,7 @@ def cross_measures(bd: LabelledBundle, be: LabelledBundle) -> CrossMeasures:
         cross_area=e_total,
         cross_width=RectValue(d_total, power).width().value,
         cross_length=2.0**h,
-        # KL from p/q = (d*E)/(D*e) itself: H(d,e) - H(d) cancels near 0.
-        kl=math.fsum(d / d_total * _log2_ratio(d * e_total, d_total * e) for d, e in pairs if d),
+        kl=_kl(pairs, d_total, e_total),
     )
 
 

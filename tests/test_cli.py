@@ -518,12 +518,28 @@ def test_results_past_the_float_range_exit_2(capsys, tmp_path):
     huge = write_bundle_file(tmp_path / "huge.csv", [("a", big)])
     pair = write_bundle_file(tmp_path / "pair.csv", [("a", 1), ("b", 0)])
     pair_huge = write_bundle_file(tmp_path / "pair_huge.csv", [("a", 1), ("b", big)])
-    for argv in (["measures", big], ["check", big], ["cross", one, huge], ["kl", one, huge],
+    for argv in (["measures", big], ["check", big], ["cross", one, huge],
                  ["cross", pair, pair_huge]):
         assert run(capsys, *argv) == (2, "", "error: a result is past the float range\n"), argv
-    code, out, err = run(capsys, "kl", "--format", "structured", one, huge)
+    code, out, err = run(capsys, "cross", "--format", "structured", one, huge)
     assert (code, out) == (2, "")
     assert json.loads(err) == {"error": "a result is past the float range"}
+
+
+def test_kl_is_finite_where_the_cross_length_is_not(capsys, tmp_path):
+    # KL takes neither the cross width nor the cross length 2**H, whose
+    # overflow makes `cross` exit 2 on the same pairs.
+    big = 10**400
+    one = write_bundle_file(tmp_path / "one.csv", [("a", 1)])
+    huge = write_bundle_file(tmp_path / "huge.csv", [("a", big)])
+    pair = write_bundle_file(tmp_path / "pair.csv", [("a", 1), ("b", 0)])
+    pair_huge = write_bundle_file(tmp_path / "pair_huge.csv", [("a", 1), ("b", big)])
+    assert run(capsys, "kl", one, huge) == (0, "kl: 0\n", "")
+    # p = (1, 0) against q = (1, 10^400)/(10^400 + 1): KL = log2(10^400 + 1).
+    assert run(capsys, "kl", pair, pair_huge) == (0, "kl: 1328.77123795\n", "")
+    code, out, err = run(capsys, "kl", "--format", "structured", pair, pair_huge)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["kl"] == pytest.approx(400 * math.log2(10), rel=1e-15)
 
 
 @pytest.mark.skipif(

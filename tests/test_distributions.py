@@ -196,6 +196,20 @@ def test_round_trip_over_mixed_denominators(entries):
     assert to_distribution(from_rational_distribution(d)) == d
 
 
+@given(nonempty_bundles)
+def test_distribution_equals_the_checked_one(b):
+    d = to_distribution(b)
+    assert d == RationalDistribution(d.entries)
+    assert all(type(p) is F for p in d.probabilities)
+
+
+@given(valid_entries)
+def test_realising_bundle_equals_the_checked_one(entries):
+    b = from_rational_distribution(RationalDistribution(entries))
+    assert b == LabelledBundle(b.fibres)
+    assert to_distribution(b) == RationalDistribution(to_distribution(b).entries)
+
+
 def test_negative_probability_message_past_the_str_limit():
     q = 10**4400 + 3  # past the interpreter's default 4300-digit int-to-str limit
     p = F(-1, q)

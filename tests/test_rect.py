@@ -1,11 +1,16 @@
 """Rectangle values: exact arithmetic, widths, and the polynomial map."""
 
+import functools
 import math
+import operator
 
+import mpmath
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dirpoly import ONE, ZERO, DirPoly, RectValue, rect_of
+from dirpoly import rect
+from dirpoly.rect import CHAIN_MIN_BITS, WIDTH_REL_ERROR
 
 from helpers import polys
 
@@ -94,6 +99,29 @@ def test_width_is_exact_for_power_products_up_to_1_at_any_area():
     assert RectValue(3, 1).width().value == 1.0
 
 
+def test_width_past_the_float_range_of_the_area():
+    # W = 4**(1/10**400) and (10**1000)**(1/10**400) are 1.0 to double precision.
+    assert RectValue(10**400, 4).width().value == 1.0
+    assert RectValue(10**400, 10**1000).width().value == 1.0
+
+
+@given(st.integers(10**300, 10**400), st.integers(2, 10**1000))
+@example(10**300, 10**1000)
+@example(10**400, 2)
+@example(2**1024 - 1, 3)  # just past the largest float: float() of it overflows
+def test_width_of_areas_from_1e300_to_1e400_against_mpmath(area, power):
+    with mpmath.workdps(60):
+        expected = mpmath.power(power, mpmath.mpf(1) / area)
+    assert RectValue(area, power).width().value == pytest.approx(
+        float(expected), rel=WIDTH_REL_ERROR, abs=0)
+
+
+@given(st.integers(2**1000, int(2.0**1023 * (2 - 2.0**-52))), st.integers(2, 10**1000))
+@example(int(2.0**1023 * (2 - 2.0**-52)), 10**1000)  # the largest float
+def test_width_is_unchanged_for_areas_in_the_float_range(area, power):
+    assert RectValue(area, power).width().value == 2.0 ** (math.log2(power) / area)
+
+
 def test_rect_of_examples():
     assert rect_of(DirPoly({4: 1, 1: 4})) == RectValue(8, 256)
     assert rect_of(DirPoly({4: 1, 1: 3})) == RectValue(7, 256)
@@ -176,3 +204,44 @@ def test_power_product_is_the_left_fold():
     for base, coeff in d.terms.items():
         power *= base ** (coeff * base) if base >= 2 else 1
     assert rect_of(d).power_product == power
+
+
+def fold_power_product(terms):
+    return functools.reduce(operator.mul, (n ** (a * n) for n, a in terms.items()), 1)
+
+
+def _all_ones(pairs):
+    # base 2**m - 1 divides 2**(m*j) - 1: an exponent a*n with every bit set.
+    return {2**m - 1: (2 ** (m * j) - 1) // (2**m - 1) for m, j in pairs}
+
+
+power_terms = st.one_of(
+    st.dictionaries(st.integers(0, 24), st.integers(1, 24), max_size=8),
+    st.dictionaries(st.integers(0, 63), st.integers(1, 63), min_size=34, max_size=40),
+    st.dictionaries(st.integers(0, 3000), st.integers(1, 3), max_size=4),
+    st.lists(st.tuples(st.integers(2, 7), st.integers(1, 2)), max_size=6).map(_all_ones),
+)
+
+
+@settings(deadline=None)
+@given(power_terms)
+@example({})
+@example({0: 3, 1: 5})
+@example({5000: 2})  # a single term past the cutoff is one power
+@example({3: 1365, 5: 819, 7: 585, 9: 455, 13: 315, 15: 273, 21: 195, 35: 117, 39: 105,
+          45: 91, 63: 65})  # every exponent is 4095, twelve bits set
+def test_power_product_is_the_fold_on_both_sides_of_the_cutoff(terms):
+    assert rect_of(DirPoly(terms)).power_product == fold_power_product(terms)
+
+
+@pytest.mark.parametrize("terms, chained", [
+    ({2: 11, 5: 397}, False),  # estimate 2*11*2 + 5*397*3 = 5999 bits
+    ({2: 15, 5: 396}, True),  # 2*15*2 + 5*396*3 = 6000 bits
+])
+def test_power_product_at_the_cutoff(monkeypatch, terms, chained):
+    assert sum(a * n * n.bit_length() for n, a in terms.items()) == CHAIN_MIN_BITS - 1 + chained
+    calls = []
+    chain = rect._power_chain
+    monkeypatch.setattr(rect, "_power_chain", lambda pairs: calls.append(pairs) or chain(pairs))
+    assert rect_of(DirPoly(terms)).power_product == fold_power_product(terms)
+    assert len(calls) == chained
