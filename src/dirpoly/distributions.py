@@ -6,10 +6,11 @@ draws, the smallest bundle inducing it.  ``Fraction`` appears only at the
 API boundary, floats nowhere: checking and realising cost one lcm N, then
 integer numerators num * (N // den), which must sum to N, and
 ``to_distribution`` one gcd per fibre to reduce size / draw count.  The two
-conversions adopt what they build without checking it again: a valid
-distribution realises as a valid bundle (distinct string labels, natural
-sizes), and a bundle with draws has a valid distribution (exact fractions
-summing to 1).
+conversions and ``product_bundle`` adopt what they build without checking
+it again: a valid distribution realises as a valid bundle (distinct string
+labels, natural sizes), a bundle with draws has a valid distribution (exact
+fractions summing to 1), and two valid bundles have a valid product (its
+labels are distinct because their encoding can be undone).
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ class RationalDistribution:
     entries: tuple[tuple[str, Fraction], ...]
 
     def __post_init__(self):
-        entries = tuple((label, p if isinstance(p, Fraction) else Fraction(p))
-                        for label, p in self.entries)
+        entries = tuple([(label, p if isinstance(p, Fraction) else Fraction(p))
+                         for label, p in self.entries])
         object.__setattr__(self, "entries", entries)
         seen = set()
         for label, p in entries:
@@ -41,7 +42,7 @@ class RationalDistribution:
             if label in seen:
                 raise ValueError(f"duplicate outcome label {label!r}")
             seen.add(label)
-        n = math.lcm(*(p.denominator for _, p in entries))
+        n = math.lcm(*[p.denominator for _, p in entries])
         total = sum(p.numerator * (n // p.denominator) for _, p in entries)
         if total != n:
             raise ValueError(f"probabilities must sum to 1 exactly, got {_ratio(Fraction(total, n))}")
@@ -55,7 +56,7 @@ class RationalDistribution:
 
     @property
     def probabilities(self) -> tuple[Fraction, ...]:
-        return tuple(p for _, p in self.entries)
+        return tuple([p for _, p in self.entries])
 
 
 def from_rational_distribution(dist: RationalDistribution) -> LabelledBundle:
@@ -64,9 +65,9 @@ def from_rational_distribution(dist: RationalDistribution) -> LabelledBundle:
     The draw count N is the lcm of the reduced denominators, so every fibre
     size prob(x) * N is the exact integer num * (N // den).
     """
-    n = math.lcm(*(p.denominator for _, p in dist.entries))
-    return LabelledBundle._wrap(tuple((label, p.numerator * (n // p.denominator))
-                                      for label, p in dist.entries))
+    n = math.lcm(*[p.denominator for _, p in dist.entries])
+    return LabelledBundle._wrap(tuple([(label, p.numerator * (n // p.denominator))
+                                       for label, p in dist.entries]))
 
 
 def to_distribution(bundle: LabelledBundle) -> RationalDistribution:
@@ -74,19 +75,24 @@ def to_distribution(bundle: LabelledBundle) -> RationalDistribution:
     total = bundle.num_draws
     if total == 0:
         raise ValueError("a bundle with no draws has no distribution")
-    return RationalDistribution._wrap(tuple((label, Fraction(size, total))
-                                            for label, size in bundle.fibres))
+    return RationalDistribution._wrap(tuple([(label, Fraction(size, total))
+                                             for label, size in bundle.fibres]))
+
+
+def _escape(label: str) -> str:
+    return label.replace("\\", "\\\\").replace(",", "\\,")
 
 
 def product_bundle(b1: LabelledBundle, b2: LabelledBundle) -> LabelledBundle:
     """The product bundle: paired labels, multiplied fibre sizes.
 
-    Its empirical distribution is the independent product of the two
-    marginals, and its polynomial is the product of theirs.
+    Outcome (l1, l2) is labelled ``(l1,l2)`` with a backslash before each
+    ``\\`` and ``,`` inside l1 and l2, so that the first unescaped comma
+    separates them and distinct label pairs give distinct labels; labels
+    with neither character appear as they are.  Its empirical distribution
+    is the independent product of the two marginals, and its polynomial is
+    the product of theirs.
     """
-    fibres = tuple(
-        (f"({l1},{l2})", s1 * s2)
-        for l1, s1 in b1.fibres
-        for l2, s2 in b2.fibres
-    )
-    return LabelledBundle(fibres)
+    right = [(_escape(l2), s2) for l2, s2 in b2.fibres]
+    return LabelledBundle._wrap(tuple([(f"({_escape(l1)},{l2})", s1 * s2)
+                                       for l1, s1 in b1.fibres for l2, s2 in right]))

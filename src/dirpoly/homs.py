@@ -9,7 +9,9 @@ Counting them factors per source fibre:
 
 with 0**0 == 1: an empty source fibre maps into any fibre in exactly one
 way (the empty function).  Both counts multiply through
-``core._power_product``, the over-base one over the pairs of ``_aligned``;
+``core._power_product``, the over-base one over the pairs of ``_aligned``:
+past ``core.CHAIN_MIN_BITS`` as one squaring chain over the exponent bits,
+below it as separate powers multiplied through a balanced tree.
 ``enumerate_bundle_morphisms`` actually constructs every morphism and is
 the independent check for it, guarded to small sizes.
 """
@@ -108,12 +110,12 @@ def enumerate_bundle_morphisms(
         base_choices = [(label,) for label, _ in bd.fibres]
     else:
         # A positive fibre has no map into an empty one: offer it the others only.
-        nonempty = tuple(label for label, size in be.fibres if size)
+        nonempty = tuple([label for label, size in be.fibres if size])
         base_choices = [nonempty if d_size else be.labels for _, d_size in bd.fibres]
 
     out: list[BundleMorphism] = []
     for targets in itertools.product(*base_choices):
-        base_map = tuple(zip(bd.labels, targets))
+        base_map = tuple(list(zip(bd.labels, targets)))
         # Per source fibre, every function into the chosen target fibre.
         fibre_spaces = [itertools.product(range(e_sizes[dst]), repeat=d_size)
                         for (_, d_size), dst in zip(bd.fibres, targets)]

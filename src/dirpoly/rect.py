@@ -34,17 +34,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import DirPoly, _power_chain, _product
+from .core import CHAIN_MIN_BITS, DirPoly, _power_chain, _product
 
 #: Guaranteed relative error bound of the float width (conservative; the
 #: log2-based extraction is accurate to a few ulps at any realistic size).
 WIDTH_REL_ERROR = 1e-12
-#: Size of P, estimated as the sum of a*n*bit_length(n) over the terms, from
-#: which ``rect_of`` builds it with the squaring chain.  The chain's median
-#: time matched the powers-and-tree path's near 4,500 bits, both on 3 to 34
-#: small bases and on 2 to 4 large ones (40 polynomials per size, Python
-#: 3.11); from 6,000 bits it was faster on at least three in four of them.
-CHAIN_MIN_BITS = 6_000
 
 
 @dataclass(frozen=True)

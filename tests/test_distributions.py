@@ -1,6 +1,8 @@
 """Rational distributions and the minimal bundles that realise them."""
 
+import gc
 import math
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -11,6 +13,7 @@ from dirpoly import (
     DirPoly,
     LabelledBundle,
     RationalDistribution,
+    cross_measures,
     from_rational_distribution,
     product_bundle,
     to_distribution,
@@ -116,6 +119,69 @@ def test_product_bundle_distribution_is_independent(b1, b2):
 @given(nonempty_bundles, nonempty_bundles)
 def test_product_bundle_matches_polynomial_product(b1, b2):
     assert product_bundle(b1, b2).to_poly() == b1.to_poly() * b2.to_poly()
+
+
+def test_product_bundle_escapes_commas_in_labels():
+    left = LabelledBundle((("a", 1), ("a,b", 1)))
+    right = LabelledBundle((("b,c", 1), ("c", 1)))
+    assert product_bundle(left, right).labels == (
+        r"(a,b\,c)", "(a,c)", r"(a\,b,b\,c)", r"(a\,b,c)"
+    )
+
+
+def split_product_label(label):
+    """Undo the product encoding: the first unescaped comma splits the pair."""
+    parts, current, chars = [], [], iter(label[1:-1])
+    for ch in chars:
+        if ch == "\\":
+            current.append(next(chars))
+        elif ch == "," and not parts:
+            parts.append("".join(current))
+            current = []
+        else:
+            current.append(ch)
+    return parts[0], "".join(current)
+
+
+labels = st.text(alphabet="ab,\\()", max_size=5)
+labelled_bundles = st.dictionaries(labels, st.integers(1, 4), min_size=1, max_size=4).map(
+    lambda fibres: LabelledBundle(tuple(fibres.items()))
+)
+
+
+@given(labelled_bundles, labelled_bundles)
+def test_product_bundle_labels_stay_distinct_and_decode(b1, b2):
+    p = product_bundle(b1, b2)
+    assert len(set(p.labels)) == b1.num_outcomes * b2.num_outcomes
+    assert p == LabelledBundle(p.fibres)
+    d1 = dict(to_distribution(b1).entries)
+    d2 = dict(to_distribution(b2).entries)
+    pairs = [split_product_label(label) for label in p.labels]
+    assert pairs == [(l1, l2) for l1 in b1.labels for l2 in b2.labels]
+    for (l1, l2), prob in zip(pairs, to_distribution(p).probabilities):
+        assert prob == d1[l1] * d2[l2]
+
+
+def test_bundles_leave_no_tuples_in_the_free_lists():
+    # A tuple built from a generator starts at 10 slots and is shrunk, then
+    # freed into the free list of its true size, which such tuples never
+    # draw from: each of the sizes 1 to 19 keeps up to 2,000 of them until
+    # a full collection.  Built from a list, a tuple is allocated at its
+    # true size and so reuses the free list it is freed into.
+    gc.collect()
+    gc.disable()
+    try:
+        before = sys.getallocatedblocks()
+        for i in range(300):
+            b = LabelledBundle.from_sizes([j + 1 for j in range(2 + i % 18)])
+            e = LabelledBundle(b.fibres[::-1])
+            cross_measures(b, e)
+            from_rational_distribution(to_distribution(b))
+            b.labels, b.sizes, to_distribution(e).probabilities
+        grown = sys.getallocatedblocks() - before
+    finally:
+        gc.enable()
+    assert grown < 2000
 
 
 def test_validation():

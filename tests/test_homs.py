@@ -1,10 +1,12 @@
 """Hom-set counting against the brute-force enumeration oracle."""
 
+import functools
 import itertools
+import operator
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dirpoly import (
     BundleMorphism,
@@ -16,7 +18,8 @@ from dirpoly import (
     morphism_is_valid,
     rect_of,
 )
-from dirpoly import homs
+from dirpoly import core, homs
+from dirpoly.core import CHAIN_MIN_BITS
 
 from helpers import polys
 
@@ -202,6 +205,49 @@ def test_hom_counts_are_the_left_fold():
     assert bd.sizes[:2] == (0, 40)
     assert hom_count_over_base(bd, LabelledBundle.from_sizes([0, *be.sizes[1:]])) == count
     assert hom_count_over_base(bd, LabelledBundle.from_sizes([1, 0, *be.sizes[2:]])) == 0
+
+
+def fold(pairs):
+    return functools.reduce(operator.mul, (base**exp for exp, base in pairs), 1)
+
+
+# (exponent, base) pairs: exponents up to 3000 with bases up to 40 reach
+# estimates of 10^5 bits; short lists stay below the cutoff.
+power_pairs = st.lists(st.tuples(st.integers(0, 3000), st.integers(0, 40)), max_size=8)
+targets = st.dictionaries(st.integers(0, 5), st.integers(1, 4), max_size=3)
+
+
+@settings(deadline=None)
+@given(power_pairs, targets)
+@example([], {})
+@example([(0, 0), (0, 7), (5, 1)], {1: 1})  # zero exponents, 0**0 and base 1 are factors 1
+@example([(7000, 3)], {0: 3})  # a single power past the cutoff
+@example([(3000, 5), (3000, 7), (1, 0)], {0: 2})  # a zero base past the cutoff gives 0
+@example([(2999, 40), (3000, 0), (0, 0)], {2: 1, 1: 1})  # a zero base after a large power; e(0) = 2, e(1) = 3
+def test_hom_counts_are_the_fold_on_both_sides_of_the_cutoff(pairs, e_terms):
+    bd = LabelledBundle.from_sizes([exp for exp, _ in pairs])
+    be = LabelledBundle.from_sizes([base for _, base in pairs])
+    assert hom_count_over_base(bd, be) == fold(pairs)
+    # d has the term exp * m^y for the m-th pair, so its count is the fold of e(m)**exp.
+    d = DirPoly({m: exp for m, (exp, _) in enumerate(pairs)})
+    e = DirPoly(e_terms)
+    assert hom_count(d, e) == fold([(exp, e(m)) for m, (exp, _) in enumerate(pairs)])
+
+
+@pytest.mark.parametrize("a1, a2, chained", [
+    (1, 1999, False),  # e = 2^y: e(1) = 2 and e(2) = 4, an estimate of 2*1 + 3*1999 = 5999 bits
+    (3, 1998, True),  # 2*3 + 3*1998 = 6000 bits
+])
+def test_hom_counts_at_the_cutoff(monkeypatch, a1, a2, chained):
+    assert 2 * a1 + 3 * a2 == CHAIN_MIN_BITS - 1 + chained
+    calls = []
+    chain = core._power_chain
+    monkeypatch.setattr(core, "_power_chain", lambda pairs: calls.append(pairs) or chain(pairs))
+    count = 2**a1 * 4**a2
+    assert hom_count(DirPoly({1: a1, 2: a2}), DirPoly.exponential(2)) == count
+    assert hom_count_over_base(LabelledBundle.from_sizes([a1, a2]),
+                               LabelledBundle.from_sizes([2, 4])) == count
+    assert len(calls) == 2 * chained
 
 
 def test_zero_over_base_count_takes_no_power():
