@@ -37,7 +37,7 @@ from .distributions import (
     from_rational_distribution,
     to_distribution,
 )
-from .expr import MAX_OUTPUT_DIGITS, _TOO_LONG, _decimal, _ratio, format_poly, parse
+from .expr import MAX_OUTPUT_DIGITS, MAX_TERM_PAIRS, _TOO_LONG, _decimal, _ratio, format_poly, parse
 from .homs import _aligned, hom_count, hom_count_over_base
 from .measures import (
     DEFAULT_TOL,
@@ -266,6 +266,8 @@ def _cmd_to_dist(args):
 
 def _cmd_arith(args):
     a, b = parse(args.a), parse(args.b)
+    if args.op == "mul" and len(a.terms) * len(b.terms) > MAX_TERM_PAIRS:
+        raise ValueError(f"the product expands past {MAX_TERM_PAIRS} term pairs")
     text = format_poly(a + b if args.op == "add" else a * b)
     return {"polynomial": text}, [text]
 

@@ -21,16 +21,16 @@ the two halves of its list recursively: at each level of that tree the big
 operands have about the same total size, so the cost is about one
 multiplication of the result's size per level, not one per factor as in a
 left fold, where every step multiplies the growing result by one more
-factor.  A product of powers of small bases, the power product P of
-``rect``, is cheaper as one squaring chain over the exponent bits
-(``_power_chain``): one squaring per bit of the largest exponent, each
-level's set bases multiplied in as one small ``_product``, with no separate
-power per term and no tree of large factors.  The chain's Python loop costs
-more than it saves on small results, so it runs only past a size cutoff,
-``CHAIN_MIN_BITS``: for P in ``rect``, and for the hom counts of ``homs``
-and the cross width's product in ``measures``, which all multiply through
-``_power_product``.  Below it, and for a single power, each power b**e is
-taken on its own and the powers are multiplied through the tree.
+factor.  Every product of powers goes through ``_power_product``: the
+power product P of ``rect``, the hom counts of ``homs`` and the cross
+width's product in ``measures``.  A large one is cheaper as one squaring
+chain over the exponent bits (``_power_chain``): one squaring per bit of
+the largest exponent, each level's set bases multiplied in as one small
+``_product``, with no separate power per term and no tree of large factors.
+The chain's Python loop costs more than it saves on small results, so it
+runs only past a size cutoff, ``CHAIN_MIN_BITS``.  Below it, and for a
+single power, each power b**e is taken on its own and the powers are
+multiplied through the tree.
 
 Tuples built on a per-call path come from a list (a list comprehension, a
 list, or ``*`` over a list), never from a generator, a ``zip`` or ``*``

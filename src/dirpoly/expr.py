@@ -31,6 +31,11 @@ from .core import DirPoly, _mul_terms
 #: stack frames, so this keeps well inside Python's recursion limit.
 MAX_NESTING = 100
 
+#: Term pairs the products of one ``parse`` may multiply out, plus one per
+#: character: a product of sums names exponentially many terms.  Canonical
+#: text (one pair per '*') always fits.
+MAX_TERM_PAIRS = 2**16
+
 #: Most decimal digits of an integer written as text; longer output is refused.
 MAX_OUTPUT_DIGITS = 100_000
 _TOO_LONG = f"an integer of more than {MAX_OUTPUT_DIGITS} digits is past the output limit"
@@ -62,6 +67,7 @@ class _Parser:
         self.tokens = _TOKEN.findall(text) + [""]  # "" ends the input
         self.pos = 0
         self.depth = 0
+        self.pairs_left = MAX_TERM_PAIRS + len(text)
 
     def error(self, message: str, index: int) -> ParseError:
         """A ParseError at the position of token ``index``."""
@@ -79,8 +85,13 @@ class _Parser:
     def term(self) -> dict[int, int]:
         result = self.atom()
         while self.tokens[self.pos] == "*":
+            index = self.pos
             self.pos += 1
-            result = _mul_terms(result, self.atom())
+            factor = self.atom()
+            self.pairs_left -= len(result) * len(factor)
+            if self.pairs_left < 0:
+                raise self.error(f"products expand past {MAX_TERM_PAIRS + len(self.text)} term pairs", index)
+            result = _mul_terms(result, factor)
         return result
 
     def atom(self) -> dict[int, int]:

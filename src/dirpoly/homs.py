@@ -9,9 +9,8 @@ Counting them factors per source fibre:
 
 with 0**0 == 1: an empty source fibre maps into any fibre in exactly one
 way (the empty function).  Both counts multiply through
-``core._power_product``, the over-base one over the pairs of ``_aligned``:
-past ``core.CHAIN_MIN_BITS`` as one squaring chain over the exponent bits,
-below it as separate powers multiplied through a balanced tree.
+``core._power_product``, the over-base one over the pairs of ``_aligned``;
+its cost model is stated in the ``core`` docstring.
 ``enumerate_bundle_morphisms`` actually constructs every morphism and is
 the independent check for it, guarded to small sizes.
 """

@@ -20,13 +20,8 @@ element influence a positive-area result, so nothing is lost.
 ``rect_of`` maps a Dirichlet polynomial to its rectangle by sending each
 n^y to (n, n) and extending along sums and products; it lands on
 (total draws, product of size**size over the fibres), with 0**0 == 1.  That
-product P = prod n**(a*n) over the terms a*n^y is the costly step for large
-polynomials.  Past ``CHAIN_MIN_BITS`` it is one squaring chain over the bits
-of the exponents a*n (``core._power_chain``), whose last squaring, of half
-P's size, dominates the cost; below it, and for a single term, it is the
-powers n**(a*n) multiplied through ``core._product``, whose few large
-multiplications cost less than the chain's Python loop of one step per
-exponent bit.
+product P = prod n**(a*n) over the terms a*n^y goes through
+``core._power_product``; the ``core`` docstring states its cost model.
 """
 
 from __future__ import annotations
@@ -34,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import CHAIN_MIN_BITS, DirPoly, _power_chain, _product
+from .core import CHAIN_MIN_BITS, DirPoly, _power_product  # noqa: F401 (CHAIN_MIN_BITS re-exported)
 
 #: Guaranteed relative error bound of the float width (conservative; the
 #: log2-based extraction is accurate to a few ulps at any realistic size).
@@ -105,14 +100,4 @@ class WidthApprox:
 
 def rect_of(d: DirPoly) -> RectValue:
     """Map a polynomial to its exact rectangle (total draws, size**size product)."""
-    area = bits = 0
-    pairs = []
-    for base, coeff in d.terms.items():
-        exp = coeff * base
-        area += exp
-        if base >= 2:  # bases 0 and 1 contribute factor 1
-            pairs.append((exp, base))
-            bits += exp * base.bit_length()
-    if len(pairs) > 1 and bits >= CHAIN_MIN_BITS:
-        return RectValue(area, _power_chain(pairs))
-    return RectValue(area, _product([base**exp for exp, base in pairs]))
+    return RectValue(d.num_draws, _power_product([(coeff * base, base) for base, coeff in d._terms.items()]))

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 from fractions import Fraction
@@ -15,7 +16,7 @@ from hypothesis import event, given, settings, strategies as st
 from dirpoly import DirPoly, LabelledBundle, cross_measures, measures
 from dirpoly import cli
 from dirpoly.cli import MAX_OUTPUT_DIGITS, main, read_bundle, read_distribution
-from dirpoly.expr import _decimal
+from dirpoly.expr import MAX_TERM_PAIRS, _decimal, parse
 
 
 def run(capsys, *argv):
@@ -323,6 +324,38 @@ def test_deep_nesting_exits_2(capsys):
     assert out == ""
     assert err.startswith("error:")
     assert err.count("\n") == 1
+
+
+BINOMIALS = [f"({p}^y + 1)" for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
+                                      59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113)]
+
+
+@pytest.mark.parametrize("text", [
+    "*".join(BINOMIALS[:20]),  # 175 characters, 2**20 terms
+    "*".join(BINOMIALS),  # 2**30 terms
+    "(" + "*".join(BINOMIALS[:15]) + ")" + "*1" * 2000,  # 2**15 pairs per '*1'
+], ids=["20-factors", "30-factors", "repeated-*1"])
+def test_product_expansion_past_the_limit_exits_2_at_once(capsys, text):
+    seconds = []
+    for _ in range(3):  # the least of three, so that host load does not decide
+        start = time.perf_counter()
+        code, out, err = run(capsys, "eval", text, "0")
+        seconds.append(time.perf_counter() - start)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: products expand past") and err.count("\n") == 1
+    assert min(seconds) < 0.1
+
+
+def test_arith_mul_refuses_a_product_past_the_limit(capsys):
+    side = [" + ".join(f"{n}^y" for n in range(2, 2 + k)) for k in (256, 257)]
+    code, out, err = run(capsys, "arith", "mul", side[1], side[0])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: the product expands past {MAX_TERM_PAIRS} term pairs\n"
+    code, out, _ = run(capsys, "arith", "mul", side[0], side[0])
+    assert code == 0
+    assert parse(out) == parse(side[0]) * parse(side[0])
 
 
 def test_structured_errors_are_json_on_stderr(capsys, tmp_path):

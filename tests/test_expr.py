@@ -2,13 +2,13 @@
 
 import sys
 from functools import reduce
-from operator import add
+from operator import add, mul
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings, strategies as st
 
-from dirpoly import DirPoly, ParseError, format_poly, parse
-from dirpoly.expr import MAX_NESTING
+from dirpoly import DirPoly, ParseError, expr, format_poly, parse
+from dirpoly.expr import MAX_NESTING, MAX_TERM_PAIRS
 
 from helpers import polys
 
@@ -124,6 +124,30 @@ def test_nesting_limit():
     assert parse(deepest) == DirPoly({2: 1, 1: 1})
     with pytest.raises(ParseError, match="nested deeper"):
         parse("(" + deepest + ")")
+
+
+PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71]
+# Sums over distinct primes, so that few products of their terms coincide.
+sums = st.dictionaries(st.sampled_from([0, 1, *PRIMES]), st.integers(1, 3), min_size=1,
+                       max_size=8).map(DirPoly)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(sums, min_size=1, max_size=10))
+@example([DirPoly({p: 1, 1: 1}) for p in PRIMES])  # 2**20 terms
+@example([DirPoly({p: 1, 1: 1}) for p in PRIMES[:15]] + [DirPoly.one()] * 200)
+def test_product_expansion_is_bounded_per_parse(factors):
+    text = " * ".join(f"({format_poly(f)})" for f in factors)
+    pairs, mul_terms = [], expr._mul_terms
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(expr, "_mul_terms", lambda a, b: pairs.append(len(a) * len(b)) or mul_terms(a, b))
+        try:
+            result = parse(text)
+        except ParseError as e:
+            assert "term pairs" in str(e) and text[e.position] == "*"
+        else:
+            assert result == reduce(mul, factors)
+    assert sum(pairs) <= MAX_TERM_PAIRS + len(text)
 
 
 @given(polys)

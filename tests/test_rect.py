@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dirpoly import ONE, ZERO, DirPoly, RectValue, rect_of
-from dirpoly import rect
+from dirpoly import core
 from dirpoly.rect import CHAIN_MIN_BITS, WIDTH_REL_ERROR
 
 from helpers import polys
@@ -241,7 +241,7 @@ def test_power_product_is_the_fold_on_both_sides_of_the_cutoff(terms):
 def test_power_product_at_the_cutoff(monkeypatch, terms, chained):
     assert sum(a * n * n.bit_length() for n, a in terms.items()) == CHAIN_MIN_BITS - 1 + chained
     calls = []
-    chain = rect._power_chain
-    monkeypatch.setattr(rect, "_power_chain", lambda pairs: calls.append(pairs) or chain(pairs))
+    chain = core._power_chain
+    monkeypatch.setattr(core, "_power_chain", lambda pairs: calls.append(pairs) or chain(pairs))
     assert rect_of(DirPoly(terms)).power_product == fold_power_product(terms)
     assert len(calls) == chained
