@@ -23,14 +23,15 @@ multiplication of the result's size per level, not one per factor as in a
 left fold, where every step multiplies the growing result by one more
 factor.  Every product of powers goes through ``_power_product``: the
 power product P of ``rect``, the hom counts of ``homs`` and the cross
-width's product in ``measures``.  A large one is cheaper as one squaring
-chain over the exponent bits (``_power_chain``): one squaring per bit of
-the largest exponent, each level's set bases multiplied in as one small
-``_product``, with no separate power per term and no tree of large factors.
-The chain's Python loop costs more than it saves on small results, so it
-runs only past a size cutoff, ``CHAIN_MIN_BITS``.  Below it, and for a
-single power, each power b**e is taken on its own and the powers are
-multiplied through the tree.
+width's product in ``measures``.  A large one goes to ``_power_chain``,
+which writes each base as 2**s * m with m odd: the powers of two cost one
+final shift by the sum of e*s, and the odd parts are raised by one power
+m**e when one is left, or else by one squaring chain over the exponent
+bits, one squaring per bit of the largest exponent with each level's set
+odd parts multiplied in as one small ``_product``: no power per term and
+no tree of large factors.  That loop costs more than it saves on small
+results, so it runs only past a size cutoff over the original bases,
+``CHAIN_MIN_BITS``; below it the powers b**e are multiplied as a tree.
 
 Tuples built on a per-call path come from a list (a list comprehension, a
 list, or ``*`` over a list), never from a generator, a ``zip`` or ``*``
@@ -47,12 +48,11 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-#: Size of a power product, estimated as the sum of exp*bit_length(base) over
-#: its powers, from which it is built with the squaring chain when it has two
-#: or more powers of bases >= 2.  On P = prod n**(a*n) the chain's median time
-#: matched the powers-and-tree path's near 4,500 bits, both on 3 to 34 small
-#: bases and on 2 to 4 large ones (40 polynomials per size, Python 3.11);
-#: from 6,000 bits it was faster on at least three in four of them.
+#: Size of a power product, the sum of exp*bit_length(base) over its powers,
+#: from which they go to ``_power_chain``.  On P = prod n**(a*n) the chain's
+#: median time matched the powers-and-tree path's near 4,500 bits, on 3 to 34
+#: small bases and on 2 to 4 large ones (40 polynomials per size, Python
+#: 3.11); from 6,000 bits it was faster on at least three in four of them.
 CHAIN_MIN_BITS = 6_000
 
 
@@ -200,24 +200,31 @@ def _product(factors: list[int]) -> int:
 
 def _power_chain(pairs: list[tuple[int, int]]) -> int:
     """Exact product of base**exp over (exp, base) pairs with positive
-    exponents, by one left-to-right squaring chain over the exponent bits:
-    at bit j the result so far is squared and multiplied by the ``_product``
-    of the bases whose exponent has bit j set (Straus's simultaneous
-    exponentiation; Knuth, TAOCP vol. 2, 4.6.3)."""
+    exponents and bases >= 2: the odd parts m of the bases 2**s * m by one
+    power or one squaring chain (Straus's simultaneous exponentiation; Knuth,
+    TAOCP vol. 2, 4.6.3), then one shift by the sum of exp*s."""
+    shift, odd = 0, []
+    for exp, base in pairs:
+        s = (base & -base).bit_length() - 1
+        shift += exp * s
+        if base >> s > 1:
+            odd.append((exp, base >> s))
+    if len(odd) == 1:
+        return odd[0][1] ** odd[0][0] << shift
     acc = 1
-    for j in reversed(range(max(exp for exp, _ in pairs).bit_length())):
-        acc = acc * acc * _product([base for exp, base in pairs if exp >> j & 1])
-    return acc
+    for j in reversed(range(max([exp for exp, _ in odd], default=0).bit_length())):
+        acc = acc * acc * _product([m for exp, m in odd if exp >> j & 1])
+    return acc << shift
 
 
 def _power_product(pairs: list[tuple[int, int]]) -> int:
     """Exact product of base**exp over (exp, base) pairs, with 0**0 == 1; 0,
     before any power is taken, when a zero base has a positive exponent.
-    Past ``CHAIN_MIN_BITS`` the powers of two or more bases >= 2 go through
-    ``_power_chain``; the other pairs are factors 1.  Those powers are
-    picked out only past the cutoff: collected in the first loop, they cost
-    about 20 ns more per pair on the small products that stay below it
-    (30 pairs: 4.7 against 4.0 us, Python 3.11)."""
+    Past ``CHAIN_MIN_BITS`` all powers of bases >= 2 go to ``_power_chain``;
+    the other pairs are factors 1.  Those powers are picked out only past
+    the cutoff: collected in the first loop, they cost about 20 ns more per
+    pair on the small products that stay below it (30 pairs: 4.7 against
+    4.0 us, Python 3.11)."""
     bits = 0
     for exp, base in pairs:
         if exp:
@@ -226,9 +233,7 @@ def _power_product(pairs: list[tuple[int, int]]) -> int:
             elif not base:
                 return 0
     if bits >= CHAIN_MIN_BITS:
-        powers = [(exp, base) for exp, base in pairs if exp and base > 1]
-        if len(powers) > 1:
-            return _power_chain(powers)
+        return _power_chain([(exp, base) for exp, base in pairs if exp and base > 1])
     return _product([base**exp for exp, base in pairs])
 
 

@@ -22,6 +22,7 @@ default): a printed polynomial parses back only while its numbers are that short
 
 from __future__ import annotations
 
+import itertools
 import re
 
 from .core import DirPoly, _mul_terms
@@ -32,8 +33,9 @@ from .core import DirPoly, _mul_terms
 MAX_NESTING = 100
 
 #: Term pairs the products of one ``parse`` may multiply out, plus one per
-#: character: a product of sums names exponentially many terms.  Canonical
-#: text (one pair per '*') always fits.
+#: character: a product of sums names exponentially many terms.  In a
+#: product of two or more pairs each pair also costs one per full 64 bits of
+#: each number it multiplies.  Canonical text (one pair per '*') always fits.
 MAX_TERM_PAIRS = 2**16
 
 #: Most decimal digits of an integer written as text; longer output is refused.
@@ -71,8 +73,8 @@ class _Parser:
 
     def error(self, message: str, index: int) -> ParseError:
         """A ParseError at the position of token ``index``."""
-        starts = [m.start() for m in _TOKEN.finditer(self.text)] + [len(self.text)]
-        return ParseError(message, starts[index])
+        token = next(itertools.islice(_TOKEN.finditer(self.text), index, None), None)
+        return ParseError(message, token.start() if token else len(self.text))
 
     def expr(self) -> dict[int, int]:
         result = self.term()
@@ -88,7 +90,10 @@ class _Parser:
             index = self.pos
             self.pos += 1
             factor = self.atom()
-            self.pairs_left -= len(result) * len(factor)
+            pairs = len(result) * len(factor)
+            if pairs > 1:  # one pair makes one term, as long as its operands together
+                pairs += len(factor) * _limbs(result) + len(result) * _limbs(factor)
+            self.pairs_left -= pairs
             if self.pairs_left < 0:
                 raise self.error(f"products expand past {MAX_TERM_PAIRS + len(self.text)} term pairs", index)
             result = _mul_terms(result, factor)
@@ -122,6 +127,11 @@ class _Parser:
         if not value:
             raise self.error("unexpected end of input", index)
         raise self.error(f"expected a number or '(', got {value!r}", index)
+
+
+def _limbs(terms: dict[int, int]) -> int:
+    """Full 64-bit limbs of every base and coefficient of a term dict."""
+    return sum([(base.bit_length() >> 6) + (coeff.bit_length() >> 6) for base, coeff in terms.items()])
 
 
 def parse(text: str) -> DirPoly:

@@ -4,10 +4,10 @@ import functools
 import operator
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dirpoly import DirPoly, LabelledBundle
-from dirpoly.core import _product
+from dirpoly.core import _power_product, _product
 
 from helpers import polys
 
@@ -208,3 +208,25 @@ factors = st.one_of(st.integers(0, 3), st.integers(0, 2**70), st.integers(10**10
 @example([1] * 17 + [10**1001 + 7] * 23)
 def test_product_is_the_left_fold(fs):
     assert _product(fs) == functools.reduce(operator.mul, fs, 1)
+
+
+# Bases 2**s * m with mixed 2-adic valuations: pure powers of two (m = 1),
+# small and large odd parts, and the bases 0 and 1.
+two_adic_bases = st.one_of(
+    st.sampled_from([0, 1]),
+    st.builds(lambda s, m: m << s, st.integers(0, 12), st.sampled_from([1, 1, 3, 5, 15, 2**61 - 1])),
+)
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(st.one_of(st.integers(0, 3), st.integers(0, 4000)), two_adic_bases), max_size=6))
+@example([])
+@example([(1, 2), (1999, 4)])  # 5999 bits: below the cutoff, CHAIN_MIN_BITS
+@example([(3000, 2), (1000, 4)])  # only powers of two: no odd part is left
+@example([(3000, 2), (1000, 12)])  # one odd part is left, 3**1000
+@example([(5000, 6)])  # a single power past the cutoff
+@example([(3000, 1024), (0, 0), (7, 1), (0, 3)])  # zero exponents, a zero base and base 1
+@example([(3000, 5), (1, 0)])  # a zero base past the cutoff gives 0
+@example([(4000, 3 << 12), (4000, 5 << 7), (4000, (2**61 - 1) << 3)])  # three odd parts
+def test_power_product_is_the_fold_over_2_adic_bases(pairs):
+    assert _power_product(pairs) == functools.reduce(operator.mul, [base**exp for exp, base in pairs], 1)

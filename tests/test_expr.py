@@ -1,6 +1,8 @@
 """Expression parsing and canonical printing."""
 
+import random
 import sys
+import time
 from functools import reduce
 from operator import add, mul
 
@@ -148,6 +150,39 @@ def test_product_expansion_is_bounded_per_parse(factors):
         else:
             assert result == reduce(mul, factors)
     assert sum(pairs) <= MAX_TERM_PAIRS + len(text)
+
+
+def _large_binomials(k):
+    rng = random.Random(k)
+    return "*".join(f"({rng.randrange(10**4299, 10**4300)}^y+1)" for _ in range(k))
+
+
+def test_products_of_large_numbers_are_bounded_by_their_size():
+    # Each product also pays for the 64-bit limbs it multiplies: 16 factors
+    # over 4300-digit bases fit the bare pair count but would take about a
+    # minute and 1 GB; six still parse.
+    assert len(parse(_large_binomials(6)).terms) == 64
+    text, times = _large_binomials(16), []
+    for _ in range(3):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="term pairs") as e:
+            parse(text)
+        times.append(time.perf_counter() - start)
+        assert text[e.value.position] == "*"
+    assert min(times) < 0.25
+
+
+# Naturals of up to 4298 digits, drawn from a few bytes each.
+large_naturals = st.builds(lambda digits, lead: lead * 10**digits + digits,
+                           st.integers(0, 4290), st.integers(1, 10**8 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.dictionaries(st.one_of(st.integers(0, 9), large_naturals),
+                       st.one_of(st.integers(1, 9), large_naturals), max_size=30).map(DirPoly))
+@example(DirPoly({10**4299 + k: 10**4299 - k for k in range(30)}))
+def test_canonical_text_of_large_numbers_parses_back(d):
+    assert parse(format_poly(d)) == d
 
 
 @given(polys)

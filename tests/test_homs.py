@@ -250,6 +250,16 @@ def test_hom_counts_at_the_cutoff(monkeypatch, a1, a2, chained):
     assert len(calls) == 2 * chained
 
 
+@pytest.mark.parametrize("a1, a2", [(3, 1998), (3000, 1000), (1, 100_000)])
+def test_hom_counts_over_powers_of_two_past_the_cutoff(a1, a2):
+    # e(1) = 2 and e(2) = 4: the chain is left no odd part, only the shift.
+    assert 2 * a1 + 3 * a2 >= CHAIN_MIN_BITS
+    count = 2**a1 * 4**a2
+    assert hom_count(DirPoly({1: a1, 2: a2}), DirPoly.exponential(2)) == count
+    assert hom_count_over_base(LabelledBundle.from_sizes([a1, a2]),
+                               LabelledBundle.from_sizes([2, 4])) == count
+
+
 def test_zero_over_base_count_takes_no_power():
     class NoPower(int):
         def __pow__(self, exponent):
