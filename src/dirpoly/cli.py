@@ -20,16 +20,18 @@ human integer fields, and polynomial text and probabilities in both formats.
 ``eval``, ``hom-count``, ``measures`` and ``check`` estimate their big
 integer's size from logarithms and refuse one past that cap before computing
 it.  Structured integer fields keep the int-to-str limit, named when hit.
+
+``json`` and ``fractions`` (with ``decimal`` and ``numbers``) are imported
+inside the functions that use them, not at the top: every process start pays
+for a top-level import, and most commands need neither.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
-from fractions import Fraction
 
 from .core import LabelledBundle
 from .distributions import (
@@ -62,7 +64,7 @@ def _data_rows(path: str, column: str, value_re: re.Pattern, value_rule: str, co
     """(label, value) rows of a comma-separated file with header ``label,<column>``,
     each value ``convert`` applied to the integers of its text ``p`` or ``p/q``."""
     rows = []
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -97,8 +99,9 @@ def read_bundle(path: str) -> LabelledBundle:
 
 
 def read_distribution(path: str) -> RationalDistribution:
+    import fractions
     rule = "probability must be an integer or a fraction p/q with q > 0"
-    return RationalDistribution(_data_rows(path, "probability", _FRACTION_RE, rule, Fraction))
+    return RationalDistribution(_data_rows(path, "probability", _FRACTION_RE, rule, fractions.Fraction))
 
 
 def _human(value) -> str:
@@ -141,6 +144,7 @@ def _render(document: dict, human, structured: bool) -> str:
     to print other ``key: value`` lines, or a list of lines.
     """
     if structured:
+        import json
         try:
             return json.dumps(document) + "\n"
         except ValueError:  # an integer past the interpreter's int/str digit limit
@@ -333,7 +337,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, OverflowError) as exc:  # ParseError is a ValueError
         # An OverflowError's text names the float operation, not the result.
         message = "a result is past the float range" if isinstance(exc, OverflowError) else str(exc)
-        print(json.dumps({"error": message}) if structured else f"error: {message}", file=sys.stderr)
+        if structured:
+            import json
+            print(json.dumps({"error": message}), file=sys.stderr)
+        else:
+            print(f"error: {message}", file=sys.stderr)
         return 2
     return 1 if document.get("status") == "fail" else 0
 

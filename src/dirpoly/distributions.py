@@ -11,16 +11,22 @@ it again: a valid distribution realises as a valid bundle (distinct string
 labels, natural sizes), a bundle with draws has a valid distribution (exact
 fractions summing to 1), and two valid bundles have a valid product (its
 labels are distinct because their encoding can be undone).
+
+``fractions`` (and with it ``decimal`` and ``numbers``) is imported only by
+the functions that make Fractions, to keep it out of the CLI's start-up.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .core import LabelledBundle
 from .expr import _ratio
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -30,7 +36,8 @@ class RationalDistribution:
     entries: tuple[tuple[str, Fraction], ...]
 
     def __post_init__(self):
-        entries = tuple([(label, p if isinstance(p, Fraction) else Fraction(p))
+        import fractions
+        entries = tuple([(label, p if isinstance(p, fractions.Fraction) else fractions.Fraction(p))
                          for label, p in self.entries])
         object.__setattr__(self, "entries", entries)
         seen = set()
@@ -45,7 +52,7 @@ class RationalDistribution:
         n = math.lcm(*[p.denominator for _, p in entries])
         total = sum(p.numerator * (n // p.denominator) for _, p in entries)
         if total != n:
-            raise ValueError(f"probabilities must sum to 1 exactly, got {_ratio(Fraction(total, n))}")
+            raise ValueError(f"probabilities must sum to 1 exactly, got {_ratio(fractions.Fraction(total, n))}")
 
     @classmethod
     def _wrap(cls, entries: tuple[tuple[str, Fraction], ...]) -> RationalDistribution:
@@ -72,10 +79,11 @@ def from_rational_distribution(dist: RationalDistribution) -> LabelledBundle:
 
 def to_distribution(bundle: LabelledBundle) -> RationalDistribution:
     """The empirical distribution of a bundle, as exact reduced fractions."""
+    import fractions
     total = bundle.num_draws
     if total == 0:
         raise ValueError("a bundle with no draws has no distribution")
-    return RationalDistribution._wrap(tuple([(label, Fraction(size, total))
+    return RationalDistribution._wrap(tuple([(label, fractions.Fraction(size, total))
                                              for label, size in bundle.fibres]))
 
 

@@ -289,6 +289,20 @@ def test_bundle_file_comments_and_blank_lines(capsys, tmp_path):
     assert out.splitlines() == ["label,probability", "a,2/3", "b,1/3"]
 
 
+def test_files_starting_with_a_utf8_bom(capsys, tmp_path):
+    # Excel's "CSV UTF-8" writes a byte order mark before the header.
+    bundle = tmp_path / "b.csv"
+    bundle.write_bytes(b"\xef\xbb\xbflabel,fibre\na,3\nb,2\n")
+    code, out, _ = run(capsys, "to-dist", str(bundle))
+    assert code == 0
+    assert out.splitlines() == ["label,probability", "a,3/5", "b,2/5"]
+    dist = tmp_path / "d.csv"
+    dist.write_bytes(b"\xef\xbb\xbflabel,probability\nh,1/3\nt,2/3\n")
+    code, out, _ = run(capsys, "from-dist", str(dist))
+    assert code == 0
+    assert out.splitlines()[:3] == ["label,fibre", "h,1", "t,2"]
+
+
 def test_usage_errors_exit_2(capsys):
     assert run(capsys, "no-such-command")[0] == 2
     assert run(capsys)[0] == 2
