@@ -15,12 +15,6 @@ token Infinity).  Exit codes: 0 success or passed check, 1 failed check,
 stderr as ``error: <message>`` or, structured, as ``{"error": "<message>"}``
 with stdout left empty.
 
-Integers are written up to MAX_OUTPUT_DIGITS digits by ``expr._decimal``:
-human integer fields, and polynomial text and probabilities in both formats.
-``eval``, ``hom-count``, ``measures`` and ``check`` estimate their big
-integer's size from logarithms and refuse one past that cap before computing
-it.  Structured integer fields keep the int-to-str limit, named when hit.
-
 ``json`` and ``fractions`` (with ``decimal`` and ``numbers``) are imported
 inside the functions that use them, not at the top: every process start pays
 for a top-level import, and most commands need neither.
@@ -39,7 +33,7 @@ from .distributions import (
     from_rational_distribution,
     to_distribution,
 )
-from .expr import MAX_OUTPUT_DIGITS, MAX_TERM_PAIRS, _TOO_LONG, _decimal, _ratio, format_poly, parse
+from .expr import MAX_OUTPUT_DIGITS, MAX_TERM_PAIRS, _TOO_LONG, _decimal, _natural, _ratio, format_poly, parse
 from .homs import _aligned, hom_count, hom_count_over_base
 from .measures import (
     DEFAULT_TOL,
@@ -81,17 +75,9 @@ def _data_rows(path: str, column: str, value_re: re.Pattern, value_rule: str, co
             raise ValueError(f"{path}:{lineno}: empty label")
         if not value_re.fullmatch(text):
             raise ValueError(f"{path}:{lineno}: {value_rule}, got {text!r}")
-        values.append((label, convert(*_naturals(text, f"{path}:{lineno}: "))))
+        where = f"{path}:{lineno}: "
+        values.append((label, convert(*[_natural(part, where, text) for part in text.split("/")])))
     return tuple(values)
-
-
-def _naturals(text: str, where: str) -> list[int]:
-    """The naturals of a validated ``p`` or ``p/q``; an error names ``where``."""
-    parts = text.split("/")
-    try:
-        return [int(part) for part in parts]
-    except ValueError:  # past the interpreter's int/str digit limit
-        raise ValueError(f"{where}number too long ({max(map(len, parts))} digits)") from None
 
 
 def read_bundle(path: str) -> LabelledBundle:
@@ -164,7 +150,7 @@ def _cmd_eval(args):
     d = parse(args.expr)
     if not _NAT_RE.fullmatch(args.n):
         raise ValueError(f"the evaluation point must be a natural number, got {args.n!r}")
-    (n,) = _naturals(args.n, "evaluation point: ")
+    n = _natural(args.n, "evaluation point: ")
     _check_size([(_log10_eval(d.terms, n), 1)])
     value = d(n)
     return {"value": value}, [value]

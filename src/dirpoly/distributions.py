@@ -23,10 +23,18 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .core import LabelledBundle
-from .expr import _ratio
+from .expr import MAX_OUTPUT_DIGITS, _ratio
 
 if TYPE_CHECKING:
     from fractions import Fraction
+
+
+def _shown(p: Fraction) -> str:
+    """``_ratio(p)`` for an error message, which a number past the output limit must not replace."""
+    try:
+        return _ratio(p)
+    except ValueError:
+        return f"a fraction with a part of more than {MAX_OUTPUT_DIGITS} digits"
 
 
 @dataclass(frozen=True)
@@ -45,14 +53,14 @@ class RationalDistribution:
             if not isinstance(label, str):
                 raise TypeError("labels must be strings")
             if p.numerator < 0:
-                raise ValueError(f"negative probability {_ratio(p)} for {label!r}")
+                raise ValueError(f"negative probability {_shown(p)} for {label!r}")
             if label in seen:
                 raise ValueError(f"duplicate outcome label {label!r}")
             seen.add(label)
         n = math.lcm(*[p.denominator for _, p in entries])
         total = sum(p.numerator * (n // p.denominator) for _, p in entries)
         if total != n:
-            raise ValueError(f"probabilities must sum to 1 exactly, got {_ratio(fractions.Fraction(total, n))}")
+            raise ValueError(f"probabilities must sum to 1 exactly, got {_shown(fractions.Fraction(total, n))}")
 
     @classmethod
     def _wrap(cls, entries: tuple[tuple[str, Fraction], ...]) -> RationalDistribution:

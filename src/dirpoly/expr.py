@@ -14,10 +14,10 @@ exponents.
 
 ``format_poly`` writes the canonical form back out: bases descending, each
 term as "a*n^y", dropping a coefficient of 1, printing base-1 terms as the
-bare coefficient, and the zero polynomial as "0".  It writes numbers of up
-to MAX_OUTPUT_DIGITS digits, but ``parse`` (like every file reader) reads
-literals only up to the interpreter's int/str digit limit (4300 digits by
-default): a printed polynomial parses back only while its numbers are that short.
+bare coefficient, and the zero polynomial as "0".  All of dirpoly writes
+naturals with ``_decimal``, up to MAX_OUTPUT_DIGITS digits, and reads them with
+``_natural``, only up to the int/str digit limit (4300 digits by default): a
+printed polynomial parses back only while its numbers are that short.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ MAX_TERM_PAIRS = 2**16
 #: Most decimal digits of an integer written as text; longer output is refused.
 MAX_OUTPUT_DIGITS = 100_000
 _TOO_LONG = f"an integer of more than {MAX_OUTPUT_DIGITS} digits is past the output limit"
+_CAP_BITS = 33 * MAX_OUTPUT_DIGITS // 10  # 2**(3.3*D) < 10**D: an integer this short is within the cap
 # Pieces below 10**512 convert under any int-to-str limit (the least allowed is 640).
 _PIECE_DIGITS = 512
 _PIECE = 10**_PIECE_DIGITS
@@ -105,9 +106,9 @@ class _Parser:
         self.pos += 1
         if value.isdigit():
             try:
-                n = int(value)
-            except ValueError:  # past the interpreter's int/str digit limit
-                raise self.error(f"number too long ({len(value)} digits)", index) from None
+                n = _natural(value)
+            except ValueError as exc:
+                raise self.error(str(exc), index) from None
             if self.tokens[self.pos] != "^":
                 return {1: n} if n else {}
             if self.tokens[self.pos + 1] != "y":
@@ -147,23 +148,28 @@ def parse(text: str) -> DirPoly:
     return DirPoly._wrap(result)
 
 
+def _natural(text: str, where: str = "", field: str = "") -> int:
+    """The natural of a checked run of ASCII digits, one part of ``field`` if given (a ``p/q``).
+    Past the int/str digit limit it is the ValueError ``<where>number too long (N digits)``,
+    N the length of the field's longest part, so a ``p/q`` names its longer part."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{where}number too long ({max(map(len, (field or text).split('/')))} digits)") from None
+
+
 def _decimal(n: int) -> str:
-    """Decimal text of a natural number of at most MAX_OUTPUT_DIGITS digits,
-    converted in 512-digit pieces past the interpreter's int-to-str limit."""
+    """Decimal text of a natural of at most MAX_OUTPUT_DIGITS digits, in 512-digit pieces past the int-to-str limit."""
+    if n.bit_length() > _CAP_BITS and n >= 10**MAX_OUTPUT_DIGITS:
+        raise ValueError(_TOO_LONG)
     try:
         return str(n)
     except ValueError:
-        pass
-    if 3 * n.bit_length() > 10 * MAX_OUTPUT_DIGITS:  # 2**10 > 10**3: too long, skip the peel
-        raise ValueError(_TOO_LONG)
-    pieces = []
-    while n >= _PIECE:
-        n, low = divmod(n, _PIECE)
-        pieces.append(str(low).zfill(_PIECE_DIGITS))
-    text = str(n) + "".join(reversed(pieces))
-    if len(text) > MAX_OUTPUT_DIGITS:
-        raise ValueError(_TOO_LONG)
-    return text
+        pieces = []
+        while n >= _PIECE:
+            n, low = divmod(n, _PIECE)
+            pieces.append(str(low).zfill(_PIECE_DIGITS))
+        return str(n) + "".join(reversed(pieces))
 
 
 def _ratio(p) -> str:
@@ -173,8 +179,7 @@ def _ratio(p) -> str:
 
 
 def format_poly(d: DirPoly) -> str:
-    """Canonical text of a polynomial; inverse of ``parse`` while every number
-    is within the interpreter's int/str digit limit."""
+    """Canonical text of a polynomial, which ``parse`` reads back (see the module docstring)."""
     terms = d.terms
     parts = []
     for base in sorted(terms, reverse=True):

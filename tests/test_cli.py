@@ -3,12 +3,15 @@
 import io
 import json
 import math
+import os
 import random
+import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -430,6 +433,18 @@ def test_human_output_prints_integers_past_the_str_limit(capsys):
     assert err == f"error: an integer of more than {MAX_OUTPUT_DIGITS} digits is past the output limit\n"
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit to turn off")
+def test_output_limit_holds_with_the_str_limit_off():
+    # With no int-to-str limit str() writes any integer; the cap must not rely on it failing.
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv in (["measures", "10000*10^y"], ["eval", "10^y", "100000"]):
+        proc = subprocess.run([sys.executable, "-X", "int_max_str_digits=0", "-m", "dirpoly.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (2, ""), argv
+        assert proc.stderr.count("\n") == 1 and "output limit" in proc.stderr, argv
+
+
 def test_size_guard_refuses_before_computing(capsys, tmp_path, monkeypatch):
     def not_called(*args, **kwargs):
         raise AssertionError("computed past the size guard")
@@ -537,6 +552,18 @@ def test_from_dist_sum_message_past_the_str_limit(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert err == (f"error: probabilities must sum to 1 exactly, got "
                    f"{Decimal(total.numerator)}/{Decimal(total.denominator)}\n")
+
+
+def test_from_dist_sum_message_past_the_output_limit(capsys, tmp_path):
+    # 25 random 4200-digit denominators share few factors: the sum's denominator passes 100,000 digits.
+    rng = random.Random(1)
+    dist = write_dist_file(tmp_path / "d.csv", [(f"x{i}", f"1/{rng.randrange(10**4199, 10**4200)}")
+                                                for i in range(25)])
+    message = "probabilities must sum to 1 exactly, got a fraction with a part of more than 100000 digits"
+    assert run(capsys, "from-dist", dist) == (2, "", f"error: {message}\n")
+    code, out, err = run(capsys, "from-dist", "--format", "structured", dist)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": message}
 
 
 @pytest.mark.skipif(

@@ -282,3 +282,16 @@ def test_negative_probability_message_past_the_str_limit():
     with pytest.raises(ValueError) as info:
         RationalDistribution((("a", 1 - p), ("b", p)))
     assert str(info.value) == f"negative probability -1/{Decimal(q)} for 'b'"
+
+
+def test_messages_name_a_number_past_the_output_limit():
+    # The sum 2/q and the probability -1/q have a 100,001-digit denominator,
+    # past the output limit: the message still says what is wrong, on one short line.
+    q = 10**100000 + 1
+    note = "a fraction with a part of more than 100000 digits"
+    with pytest.raises(ValueError) as info:
+        RationalDistribution((("a", F(1, q)), ("b", F(1, q))))
+    assert str(info.value) == f"probabilities must sum to 1 exactly, got {note}"
+    with pytest.raises(ValueError) as info:
+        RationalDistribution((("a", 1 + F(1, q)), ("b", F(-1, q))))
+    assert str(info.value) == f"negative probability {note} for 'b'"

@@ -219,3 +219,11 @@ def test_literal_past_digit_limit_is_a_parse_error():
     with pytest.raises(ParseError, match="digits") as e:
         parse("2^y + " + "1" * (limit + 1))
     assert e.value.position == 6
+
+
+@pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 4301,
+                    reason="needs an int/str digit limit below 4301 digits")
+def test_parser_names_the_length_and_position_of_a_long_literal():
+    with pytest.raises(ParseError) as e:
+        parse("2^y + " + "7" * 4301)
+    assert str(e.value) == "number too long (4301 digits) (at position 6)"
