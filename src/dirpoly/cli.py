@@ -108,19 +108,24 @@ def _log10_eval(terms: dict[int, int], n: int) -> float:
     return top + math.log10(math.fsum(10.0 ** (x - top) for x in logs))
 
 
-def _check_size(factors) -> None:
+def _check_size(factors, message: str = _TOO_LONG) -> None:
     """Refuse a product of base**exp over (log10(base), exp) factors whose
     estimated size is past MAX_OUTPUT_DIGITS, before it is computed.  The
     estimate is off by far less than a digit; a result within one digit of
     the limit is computed and left to the exact check in ``_decimal``."""
     logs = [min(exp, _COUNT_CLAMP) * log for log, exp in factors if exp]
     if -math.inf not in logs and sum(logs) >= MAX_OUTPUT_DIGITS + 1:
-        raise ValueError(_TOO_LONG)
+        raise ValueError(message)
 
 
 def _check_power_product(d) -> None:
     """Size guard for P, the product of b**(c*b) over the terms c * b^y."""
     _check_size((math.log10(b), c * b) for b, c in d.terms.items() if b > 1)
+
+
+def _check_over_base(bd, be, message: str = _TOO_LONG) -> None:
+    """Size guard for the product of |e_i|**|d_i| of the over-base hom count and the cross width."""
+    _check_size(((math.log10(e) if e else -math.inf, d) for d, e in _aligned(bd, be)), message)
 
 
 def _render(document: dict, human, structured: bool) -> str:
@@ -198,6 +203,7 @@ def _cmd_check(args):
 
 def _cmd_cross(args):
     bd, be = read_bundle(args.data), read_bundle(args.model)
+    _check_over_base(bd, be, f"the cross width needs an exact product of more than {MAX_OUTPUT_DIGITS} digits")
     report = check_cross_rectangle_area(bd, be, tol=args.tol)
     cm = report.cross
     document = {
@@ -220,7 +226,7 @@ def _cmd_kl(args):
 def _cmd_hom_count(args):
     if args.over_base:
         bd, be = read_bundle(args.a), read_bundle(args.b)
-        _check_size((math.log10(e) if e else -math.inf, d) for d, e in _aligned(bd, be))
+        _check_over_base(bd, be)
         count = hom_count_over_base(bd, be)
     else:
         d, e = parse(args.a), parse(args.b)

@@ -240,6 +240,14 @@ def _power_product(pairs: list[tuple[int, int]]) -> int:
     return _product([base**exp for exp, base in pairs])
 
 
+def _adopt(cls, fields: dict):
+    """``cls(**fields)`` of a frozen dataclass, given every field, already known
+    to be valid: set at once, not by one object.__setattr__ call per field."""
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "__dict__", fields)
+    return obj
+
+
 def _coerce(value: object) -> DirPoly:
     if isinstance(value, DirPoly):
         return value
@@ -272,13 +280,6 @@ class LabelledBundle:
             if label in seen:
                 raise ValueError(f"duplicate outcome label {label!r}")
             seen.add(label)
-
-    @classmethod
-    def _wrap(cls, fibres: tuple[tuple[str, int], ...]) -> LabelledBundle:
-        """Adopt fibres already known to be valid, such as a realised distribution's."""
-        b = object.__new__(cls)
-        object.__setattr__(b, "fibres", fibres)
-        return b
 
     @classmethod
     def from_sizes(cls, sizes: Iterable[int], labels: Iterable[str] | None = None) -> LabelledBundle:

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .core import LabelledBundle
+from .core import LabelledBundle, _adopt
 from .expr import MAX_OUTPUT_DIGITS, _ratio
 
 if TYPE_CHECKING:
@@ -62,13 +62,6 @@ class RationalDistribution:
         if total != n:
             raise ValueError(f"probabilities must sum to 1 exactly, got {_shown(fractions.Fraction(total, n))}")
 
-    @classmethod
-    def _wrap(cls, entries: tuple[tuple[str, Fraction], ...]) -> RationalDistribution:
-        """Adopt entries already known to be valid, such as a bundle's distribution."""
-        d = object.__new__(cls)
-        object.__setattr__(d, "entries", entries)
-        return d
-
     @property
     def probabilities(self) -> tuple[Fraction, ...]:
         return tuple([p for _, p in self.entries])
@@ -81,8 +74,8 @@ def from_rational_distribution(dist: RationalDistribution) -> LabelledBundle:
     size prob(x) * N is the exact integer num * (N // den).
     """
     n = math.lcm(*[p.denominator for _, p in dist.entries])
-    return LabelledBundle._wrap(tuple([(label, p.numerator * (n // p.denominator))
-                                       for label, p in dist.entries]))
+    return _adopt(LabelledBundle, {"fibres": tuple([(label, p.numerator * (n // p.denominator))
+                                                   for label, p in dist.entries])})
 
 
 def to_distribution(bundle: LabelledBundle) -> RationalDistribution:
@@ -91,8 +84,8 @@ def to_distribution(bundle: LabelledBundle) -> RationalDistribution:
     total = bundle.num_draws
     if total == 0:
         raise ValueError("a bundle with no draws has no distribution")
-    return RationalDistribution._wrap(tuple([(label, fractions.Fraction(size, total))
-                                             for label, size in bundle.fibres]))
+    return _adopt(RationalDistribution, {"entries": tuple([(label, fractions.Fraction(size, total))
+                                                          for label, size in bundle.fibres])})
 
 
 def _escape(label: str) -> str:
@@ -110,5 +103,5 @@ def product_bundle(b1: LabelledBundle, b2: LabelledBundle) -> LabelledBundle:
     the product of theirs.
     """
     right = [(_escape(l2), s2) for l2, s2 in b2.fibres]
-    return LabelledBundle._wrap(tuple([(f"({_escape(l1)},{l2})", s1 * s2)
-                                       for l1, s1 in b1.fibres for l2, s2 in right]))
+    return _adopt(LabelledBundle, {"fibres": tuple([(f"({_escape(l1)},{l2})", s1 * s2)
+                                                   for l1, s1 in b1.fibres for l2, s2 in right])})

@@ -28,8 +28,8 @@ import re
 from .core import DirPoly, _mul_terms
 
 
-#: Deepest parenthesis nesting ``parse`` accepts; each level costs three
-#: stack frames, so this keeps well inside Python's recursion limit.
+#: Deepest parenthesis nesting ``parse`` accepts: a limit of the language, as
+#: the parser saves one (sum, product) per open parenthesis, not a stack frame.
 MAX_NESTING = 100
 
 #: Term pairs the products of one ``parse`` may multiply out, plus one per
@@ -57,77 +57,16 @@ class ParseError(ValueError):
 
 # Tokens are ASCII naturals and single characters; whitespace separates.
 # Any other character is rejected before parsing starts, so it is reported
-# ahead of any syntax error.
+# ahead of any syntax error.  Past it, padding each operator with spaces and
+# splitting gives exactly _TOKEN's tokens; only errors scan _TOKEN, for positions.
 _TOKEN = re.compile(r"[0-9]+|\S")
 _BAD_CHAR = re.compile(r"[^0-9+*^()y\s]")
 
 
-class _Parser:
-    """Recursive descent; each rule returns a fresh canonical term dict."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _TOKEN.findall(text) + [""]  # "" ends the input
-        self.pos = 0
-        self.depth = 0
-        self.pairs_left = MAX_TERM_PAIRS + len(text)
-
-    def error(self, message: str, index: int) -> ParseError:
-        """A ParseError at the position of token ``index``."""
-        token = next(itertools.islice(_TOKEN.finditer(self.text), index, None), None)
-        return ParseError(message, token.start() if token else len(self.text))
-
-    def expr(self) -> dict[int, int]:
-        result = self.term()
-        while self.tokens[self.pos] == "+":
-            self.pos += 1
-            for base, coeff in self.term().items():
-                result[base] = result.get(base, 0) + coeff
-        return result
-
-    def term(self) -> dict[int, int]:
-        result = self.atom()
-        while self.tokens[self.pos] == "*":
-            index = self.pos
-            self.pos += 1
-            factor = self.atom()
-            pairs = len(result) * len(factor)
-            if pairs > 1:  # one pair makes one term, as long as its operands together
-                pairs += len(factor) * _limbs(result) + len(result) * _limbs(factor)
-            self.pairs_left -= pairs
-            if self.pairs_left < 0:
-                raise self.error(f"products expand past {MAX_TERM_PAIRS + len(self.text)} term pairs", index)
-            result = _mul_terms(result, factor)
-        return result
-
-    def atom(self) -> dict[int, int]:
-        index = self.pos
-        value = self.tokens[index]
-        self.pos += 1
-        if value.isdigit():
-            try:
-                n = _natural(value)
-            except ValueError as exc:
-                raise self.error(str(exc), index) from None
-            if self.tokens[self.pos] != "^":
-                return {1: n} if n else {}
-            if self.tokens[self.pos + 1] != "y":
-                raise self.error("exponent must be the literal 'y'", self.pos + 1)
-            self.pos += 2
-            return {n: 1}
-        if value == "(":
-            if self.depth == MAX_NESTING:
-                raise self.error(f"parentheses nested deeper than {MAX_NESTING}", index)
-            self.depth += 1
-            inner = self.expr()
-            self.depth -= 1
-            if self.tokens[self.pos] != ")":
-                raise self.error("expected ')'", self.pos)
-            self.pos += 1
-            return inner
-        if not value:
-            raise self.error("unexpected end of input", index)
-        raise self.error(f"expected a number or '(', got {value!r}", index)
+def _error(text: str, message: str, index: int) -> ParseError:
+    """A ParseError at the position of token ``index`` of ``text``."""
+    token = next(itertools.islice(_TOKEN.finditer(text), index, None), None)
+    return ParseError(message, token.start() if token else len(text))
 
 
 def _limbs(terms: dict[int, int]) -> int:
@@ -136,16 +75,76 @@ def _limbs(terms: dict[int, int]) -> int:
 
 
 def parse(text: str) -> DirPoly:
-    """Parse an expression to its canonical polynomial."""
+    """Parse an expression to its canonical polynomial in one pass over its tokens,
+    without recursion: each operator closes the product ('*'), sum ('+') or
+    parenthesis (')') before it, and ')' multiplies the inner sum into the
+    product saved at its '(' as one factor."""
     bad = _BAD_CHAR.search(text)
     if bad:
         raise ParseError(f"unexpected character {bad.group()!r}", bad.start())
-    parser = _Parser(text)
-    result = parser.expr()
-    value = parser.tokens[parser.pos]
-    if value:
-        raise parser.error(f"unexpected trailing input {value!r}", parser.pos)
-    return DirPoly._wrap(result)
+    tokens = (text.replace("+", " + ").replace("*", " * ").replace("^", " ^ ")
+              .replace("y", " y ").replace("(", " ( ").replace(")", " ) ").split())
+    tokens.append("")  # ends the input
+    pairs_left = MAX_TERM_PAIRS + len(text)
+    saved = []  # (sum, product, index of its last '*') around each open parenthesis
+    total = product = None  # the sum and the product so far; None before their first term
+    star = i = 0
+    while True:
+        token = tokens[i]
+        if token == "(":
+            if len(saved) == MAX_NESTING:
+                raise _error(text, f"parentheses nested deeper than {MAX_NESTING}", i)
+            saved.append((total, product, star))
+            total = product = None
+            i += 1
+            continue
+        if not token.isdigit():
+            raise _error(text, f"expected a number or '(', got {token!r}" if token else "unexpected end of input", i)
+        try:
+            n = _natural(token)
+        except ValueError as exc:
+            raise _error(text, str(exc), i) from None
+        if tokens[i + 1] == "^":
+            if tokens[i + 2] != "y":
+                raise _error(text, "exponent must be the literal 'y'", i + 2)
+            factor = {n: 1}
+            i += 4
+        else:
+            factor = {1: n} if n else {}
+            i += 2
+        op = tokens[i - 1]
+        while True:  # one factor is complete and op follows it
+            if product is None:
+                product = factor
+            else:
+                pairs = len(product) * len(factor)
+                if pairs > 1:  # one pair makes one term, as long as its operands together
+                    pairs += len(factor) * _limbs(product) + len(product) * _limbs(factor)
+                pairs_left -= pairs
+                if pairs_left < 0:
+                    raise _error(text, f"products expand past {MAX_TERM_PAIRS + len(text)} term pairs", star)
+                product = _mul_terms(product, factor)
+            if op == "*":
+                star = i - 1
+                break
+            if total is None:
+                total = product
+            else:
+                for base, coeff in product.items():
+                    total[base] = total.get(base, 0) + coeff
+            product = None
+            if op == "+":
+                break
+            if op != ")" or not saved:
+                if saved:
+                    raise _error(text, "expected ')'", i - 1)
+                if op:
+                    raise _error(text, f"unexpected trailing input {op!r}", i - 1)
+                return DirPoly._wrap(total)
+            factor = total
+            total, product, star = saved.pop()
+            op = tokens[i]
+            i += 1
 
 
 def _natural(text: str, where: str = "", field: str = "") -> int:

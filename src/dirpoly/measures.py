@@ -21,10 +21,10 @@ Kullback-Leibler divergence is the data mean of log2(p/q), not H(d, e) - H(d).
 Fibre sizes of 0 follow the limit convention 0 * log 0 == 0 throughout.
 Every logarithm is of an exact integer ratio, through log1p near 1, and
 every sum is a math.fsum, so nothing cancels.  H(d) is H(d, d): one sum,
-``_entropy``, gives both, and ``RectValue.width`` gives both widths.  KL
-has its own sum, ``_kl``, so that it needs neither the cross width's exact
-product nor the cross length 2**H, which can pass the float range while
-KL is finite.
+``_entropy``, gives both; one width root, ``rect._width``, gives both
+widths.  KL has its own sum, ``_kl``, so that it needs neither the cross
+width's exact product nor the cross length 2**H, which can pass the float
+range while KL is finite.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import DirPoly, LabelledBundle, _power_product
+from .core import DirPoly, LabelledBundle, _adopt, _power_product
 from .homs import _aligned
-from .rect import RectValue, rect_of
+from .rect import _width, rect_of
 
 #: Default relative tolerance of the rectangle-area checks.
 DEFAULT_TOL = 1e-9
@@ -89,17 +89,13 @@ def entropy(bundle: LabelledBundle) -> float:
 def measures(d: DirPoly) -> Measures:
     """All five measures of a polynomial with at least one draw."""
     r = rect_of(d)
-    if r.area == 0:
+    area, power = r.area, r.power_product
+    if area == 0:
         raise ValueError("measures are undefined for a polynomial with no draws")
-    terms = d.terms
-    h = _entropy(zip(terms, terms, terms.values()), r.area, r.area)
-    return Measures(
-        area=r.area,
-        power_product=r.power_product,
-        width=r.width().value,
-        entropy=h,
-        length=2.0**h,
-    )
+    terms = d._terms
+    h = _entropy(zip(terms, terms, terms.values()), area, area)
+    return _adopt(Measures, {"area": area, "power_product": power, "width": _width(area, power),
+                             "entropy": h, "length": 2.0**h})
 
 
 @dataclass(frozen=True)
@@ -129,16 +125,9 @@ def check_rectangle_area(d: DirPoly, tol: float = DEFAULT_TOL) -> AreaCheck:
     log_area = math.log2(m.area)
     log_error = abs(m.area * m.entropy + math.log2(m.power_product) - m.area * log_area)
     log_bound = tol * m.area * log_area
-    return AreaCheck(
-        measures=m,
-        product=product,
-        float_error=float_error,
-        float_bound=float_bound,
-        log_error=log_error,
-        log_bound=log_bound,
-        tol=tol,
-        passed=float_error <= float_bound and log_error <= log_bound,
-    )
+    return _adopt(AreaCheck, {"measures": m, "product": product, "float_error": float_error,
+                              "float_bound": float_bound, "log_error": log_error, "log_bound": log_bound,
+                              "tol": tol, "passed": float_error <= float_bound and log_error <= log_bound})
 
 
 def _cross_pairs(bd: LabelledBundle, be: LabelledBundle) -> tuple[list[tuple[int, int]], int, int]:
@@ -170,16 +159,11 @@ def cross_measures(bd: LabelledBundle, be: LabelledBundle) -> CrossMeasures:
     pairs, d_total, e_total = _cross_pairs(bd, be)
     power = _power_product(pairs)
     if power == 0:  # positive data mass on an empty model fibre
-        return CrossMeasures(cross_entropy=math.inf, cross_area=e_total, cross_width=0.0,
-                             cross_length=math.inf, kl=math.inf)
+        return _adopt(CrossMeasures, {"cross_entropy": math.inf, "cross_area": e_total, "cross_width": 0.0,
+                                      "cross_length": math.inf, "kl": math.inf})
     h = _entropy(((d, e, 1) for d, e in pairs), d_total, e_total)
-    return CrossMeasures(
-        cross_entropy=h,
-        cross_area=e_total,
-        cross_width=RectValue(d_total, power).width().value,
-        cross_length=2.0**h,
-        kl=_kl(pairs, d_total, e_total),
-    )
+    return _adopt(CrossMeasures, {"cross_entropy": h, "cross_area": e_total, "cross_width": _width(d_total, power),
+                                  "cross_length": 2.0**h, "kl": _kl(pairs, d_total, e_total)})
 
 
 @dataclass(frozen=True)
@@ -205,15 +189,11 @@ def check_cross_rectangle_area(
     """Verify A(d,e) == L(d,e) * W(d,e), or report the pair as degenerate."""
     cm = cross_measures(bd, be)
     if math.isinf(cm.cross_entropy):
-        return CrossAreaCheck(
-            status="degenerate", cross=cm, product=None,
-            float_error=None, float_bound=None, tol=tol,
-        )
+        return _adopt(CrossAreaCheck, {"status": "degenerate", "cross": cm, "product": None,
+                                       "float_error": None, "float_bound": None, "tol": tol})
     product = cm.cross_length * cm.cross_width
     float_error = abs(cm.cross_area - product)
     float_bound = tol * cm.cross_area
-    status = "pass" if float_error <= float_bound else "fail"
-    return CrossAreaCheck(
-        status=status, cross=cm, product=product,
-        float_error=float_error, float_bound=float_bound, tol=tol,
-    )
+    return _adopt(CrossAreaCheck, {"status": "pass" if float_error <= float_bound else "fail", "cross": cm,
+                                   "product": product, "float_error": float_error, "float_bound": float_bound,
+                                   "tol": tol})

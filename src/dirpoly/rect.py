@@ -10,8 +10,8 @@ Widths of polynomial images are usually irrational, so an element is stored
 exactly as (A, P) with P = W**A, both arbitrary-precision naturals.  In that
 encoding addition is integer multiplication of the P parts and
 multiplication is an integer power combination, so all rig arithmetic stays
-exact; the only approximation happens in ``width()``, the final root
-extraction, which also gives the cross width of ``measures``.
+exact; the only approximation is the one width root ``_width``, which
+``RectValue.width`` wraps and ``measures`` calls for both its widths.
 
 The encoding quotients out the width of zero-area elements: every (0, W)
 collapses to area 0, P = 1.  No rig operation lets the width of a zero-area
@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import CHAIN_MIN_BITS, DirPoly, _power_product  # noqa: F401 (CHAIN_MIN_BITS re-exported)
+from .core import CHAIN_MIN_BITS, DirPoly, _adopt, _power_product  # noqa: F401 (CHAIN_MIN_BITS re-exported)
 
 #: Guaranteed relative error bound of the float width (conservative; the
 #: log2-based extraction is accurate to a few ulps at any realistic size).
@@ -71,16 +71,21 @@ class RectValue:
         """The width P**(1/A) as a float; undefined at zero area."""
         if self.area == 0:
             raise ValueError("width is undefined at zero area")
-        if self.power_product <= 1:  # exact at any area, even past the float range
-            return WidthApprox(float(self.power_product), WIDTH_REL_ERROR)
-        # math.log2 handles ints beyond float range, so huge P is fine.
-        log_p = math.log2(self.power_product)
-        try:
-            exponent = log_p / self.area
-        except OverflowError:  # an area past the float range: divide by its top 64 bits, then scale
-            shift = self.area.bit_length() - 64
-            exponent = math.ldexp(log_p / (self.area >> shift), -shift)
-        return WidthApprox(2.0**exponent, WIDTH_REL_ERROR)
+        return WidthApprox(_width(self.area, self.power_product), WIDTH_REL_ERROR)
+
+
+def _width(area: int, power_product: int) -> float:
+    """The width P**(1/A) of a positive area A as a float, within WIDTH_REL_ERROR."""
+    if power_product <= 1:  # exact at any area, even past the float range
+        return float(power_product)
+    # math.log2 handles ints beyond float range, so huge P is fine.
+    log_p = math.log2(power_product)
+    try:
+        exponent = log_p / area
+    except OverflowError:  # an area past the float range: divide by its top 64 bits, then scale
+        shift = area.bit_length() - 64
+        exponent = math.ldexp(log_p / (area >> shift), -shift)
+    return 2.0**exponent
 
 
 ZERO = RectValue(0, 1)
@@ -100,4 +105,6 @@ class WidthApprox:
 
 def rect_of(d: DirPoly) -> RectValue:
     """Map a polynomial to its exact rectangle (total draws, size**size product)."""
-    return RectValue(d.num_draws, _power_product([(coeff * base, base) for base, coeff in d._terms.items()]))
+    # Both are naturals, and P is the empty product 1 at area 0: nothing to check.
+    power = _power_product([(coeff * base, base) for base, coeff in d._terms.items()])
+    return _adopt(RectValue, {"area": d.num_draws, "power_product": power})

@@ -469,6 +469,23 @@ def test_size_guard_refuses_before_computing(capsys, tmp_path, monkeypatch):
         assert err.count("\n") == 1 and "output limit" in err, argv
 
 
+def test_cross_width_product_is_bounded(capsys, tmp_path, monkeypatch):
+    def not_called(*args, **kwargs):
+        raise AssertionError("computed past the size guard")
+
+    sizes = [("a", 123456789012345678901234567890), ("b", 987654321098765432109876543210)]
+    big = write_bundle_file(tmp_path / "big.csv", sizes)
+    empty_b = write_bundle_file(tmp_path / "m.csv", [sizes[0], ("b", 0)])
+    # kl needs no product, and a positive data fibre over an empty model fibre makes it 0.
+    assert run(capsys, "kl", big, big) == (0, "kl: 0\n", "")
+    code, out, _ = run(capsys, "cross", big, empty_b)
+    assert (code, out.splitlines()[-1]) == (0, "status: degenerate")
+    monkeypatch.setattr(cli, "check_cross_rectangle_area", not_called)
+    message = "the cross width needs an exact product of more than 100000 digits"
+    assert run(capsys, "cross", big, big) == (2, "", f"error: {message}\n")
+    assert run(capsys, "cross", "--format", "structured", big, big) == (2, "", json.dumps({"error": message}) + "\n")
+
+
 def test_non_ascii_digits_exit_2(capsys, tmp_path):
     code, out, err = run(capsys, "measures", "\u0663^y")
     assert (code, out) == (2, "")

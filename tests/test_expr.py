@@ -227,3 +227,51 @@ def test_parser_names_the_length_and_position_of_a_long_literal():
     with pytest.raises(ParseError) as e:
         parse("2^y + " + "7" * 4301)
     assert str(e.value) == "number too long (4301 digits) (at position 6)"
+
+
+_SUM_300 = "(" + "+".join(f"{b}^y" for b in range(2, 302)) + ")"  # 1,695 characters
+
+
+@pytest.mark.parametrize("text, message, position", [
+    pytest.param("2^y + q", "unexpected character 'q'", 6, id="bad-char"),
+    pytest.param("2^x", "unexpected character 'x'", 2, id="exponent-x"),
+    pytest.param("2^", "exponent must be the literal 'y'", 2, id="exponent-missing"),
+    pytest.param("2^3", "exponent must be the literal 'y'", 2, id="exponent-number"),
+    pytest.param("2^(3)", "exponent must be the literal 'y'", 2, id="exponent-paren"),
+    pytest.param("", "unexpected end of input", 0, id="empty"),
+    pytest.param("2+", "unexpected end of input", 2, id="end-after-plus"),
+    pytest.param(" \t\u3000", "unexpected end of input", 3, id="only-whitespace"),
+    pytest.param("+2", "expected a number or '(', got '+'", 0, id="leading-plus"),
+    pytest.param("2*)", "expected a number or '(', got ')'", 2, id="star-paren"),
+    pytest.param("y", "expected a number or '(', got 'y'", 0, id="y-alone"),
+    pytest.param("(2", "expected ')'", 2, id="unclosed"),
+    pytest.param("(2 3", "expected ')'", 3, id="unclosed-two"),
+    pytest.param("2)", "unexpected trailing input ')'", 1, id="trailing-paren"),
+    pytest.param("1 2", "unexpected trailing input '2'", 2, id="trailing-number"),
+    pytest.param("(" * (MAX_NESTING + 1) + "1" + ")" * (MAX_NESTING + 1),
+                 "parentheses nested deeper than 100", 100, id="nesting"),
+    pytest.param(_SUM_300 + "*" + _SUM_300, "products expand past 68927 term pairs", 1695, id="budget"),
+    pytest.param(_SUM_300 + "*" + _SUM_300 + ")", "products expand past 68928 term pairs", 1695,
+                 id="budget-before-trailing"),
+    pytest.param("((" + _SUM_300 + "*" + _SUM_300 + " q", "unexpected character 'q'", 3394,
+                 id="bad-char-before-budget"),
+    pytest.param("2^y\x1c+\x1c)", "expected a number or '(', got ')'", 6, id="sep-x1c"),
+    pytest.param("\xa02\xa0^\xa0y\xa0)", "unexpected trailing input ')'", 7, id="sep-nbsp"),
+    pytest.param("\u3000(2\u3000+\u30003\u3000", "expected ')'", 8, id="sep-ideographic"),
+])
+def test_parse_error_messages_and_positions(text, message, position):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert (str(e.value), e.value.position) == (f"{message} (at position {position})", position)
+
+
+@pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 4301,
+                    reason="needs an int/str digit limit below 4301 digits")
+def test_long_literal_error_comes_before_later_syntax_errors():
+    with pytest.raises(ParseError) as e:
+        parse("3*(" + "9" * 4301 + "^y))")
+    assert (str(e.value), e.value.position) == ("number too long (4301 digits) (at position 3)", 3)
+
+
+def test_unicode_whitespace_separates_tokens():
+    assert parse("2^y\x1c+\xa01\u3000* (3^y\x1f+\x85 0^y)") == parse("2^y + 1 * (3^y + 0^y)")

@@ -1,5 +1,6 @@
 """Entropy, length, rectangle-area identity, and the cross measures."""
 
+import dataclasses
 import math
 
 import mpmath
@@ -9,15 +10,17 @@ from hypothesis import given, strategies as st
 from dirpoly import (
     DirPoly,
     LabelledBundle,
+    RectValue,
     check_cross_rectangle_area,
     check_rectangle_area,
     cross_measures,
     entropy,
     measures,
+    rect_of,
 )
 from dirpoly.measures import DEFAULT_TOL
 
-from helpers import nonempty_bundles, nonempty_polys
+from helpers import nonempty_bundles, nonempty_polys, polys
 
 # Values for 4^y + 3, frozen from a 40-digit computation:
 #     H = log2(7) - 8/7,  W = 2 * 2**(1/7),  L = 7 / W.
@@ -267,3 +270,28 @@ def test_kl_near_zero_against_mpmath(d, e):
         )
     cm = cross_measures(LabelledBundle.from_sizes(d), LabelledBundle.from_sizes(e))
     assert cm.kl == pytest.approx(float(kl), rel=DEFAULT_TOL, abs=0)
+
+
+def _checked(result):
+    """The same result through its class's public constructor."""
+    fields = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
+    return type(result)(**{k: _checked(v) if dataclasses.is_dataclass(v) else v for k, v in fields.items()})
+
+
+@given(polys)
+def test_rectangle_and_measures_equal_the_checked_ones(d):
+    r = rect_of(d)
+    assert r == RectValue(r.area, r.power_product)  # the public constructor sets P = 1 at area 0
+    if d.num_draws:
+        for result in (measures(d), check_rectangle_area(d)):
+            assert result == _checked(result) and hash(result) == hash(_checked(result))
+            assert repr(result) == repr(_checked(result))
+
+
+@given(nonempty_bundles, st.data())
+def test_cross_results_equal_the_checked_ones(bd, data):
+    sizes = data.draw(st.lists(st.integers(0, 6), min_size=len(bd.fibres), max_size=len(bd.fibres)))
+    be = LabelledBundle.from_sizes(sizes, bd.labels)
+    if be.num_draws:
+        for result in (cross_measures(bd, be), check_cross_rectangle_area(bd, be)):
+            assert result == _checked(result) and repr(result) == repr(_checked(result))
