@@ -38,7 +38,7 @@ from .homs import _aligned, hom_count, hom_count_over_base
 from .measures import (
     DEFAULT_TOL,
     _cross_pairs,
-    _kl,
+    _cross_sums,
     check_cross_rectangle_area,
     check_rectangle_area,
     measures,
@@ -220,7 +220,7 @@ def _cmd_cross(args):
 
 def _cmd_kl(args):
     bd, be = read_bundle(args.data), read_bundle(args.model)
-    return {"kl": _kl(*_cross_pairs(bd, be))}, None
+    return {"kl": _cross_sums(*_cross_pairs(bd, be))[1]}, None
 
 
 def _cmd_hom_count(args):

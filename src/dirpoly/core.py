@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 #: Size of a power product, the sum of exp*bit_length(base) over its powers,
@@ -242,7 +243,8 @@ def _power_product(pairs: list[tuple[int, int]]) -> int:
 
 def _adopt(cls, fields: dict):
     """``cls(**fields)`` of a frozen dataclass, given every field, already known
-    to be valid: set at once, not by one object.__setattr__ call per field."""
+    to be valid, and any cached property already known: set at once, not by
+    one object.__setattr__ call per field."""
     obj = object.__new__(cls)
     object.__setattr__(obj, "__dict__", fields)
     return obj
@@ -270,8 +272,10 @@ class LabelledBundle:
 
     def __post_init__(self):
         fibres = tuple([(label, size) for label, size in self.fibres])
-        object.__setattr__(self, "fibres", fibres)
+        fields = self.__dict__  # written directly: cheaper than object.__setattr__ per name
+        fields["fibres"] = fibres
         seen = set()
+        total = 0
         for label, size in fibres:
             if not isinstance(label, str):
                 raise TypeError("labels must be strings")
@@ -280,6 +284,8 @@ class LabelledBundle:
             if label in seen:
                 raise ValueError(f"duplicate outcome label {label!r}")
             seen.add(label)
+            total += size
+        fields["num_draws"] = total
 
     @classmethod
     def from_sizes(cls, sizes: Iterable[int], labels: Iterable[str] | None = None) -> LabelledBundle:
@@ -309,9 +315,11 @@ class LabelledBundle:
     def num_outcomes(self) -> int:
         return len(self.fibres)
 
-    @property
+    @cached_property
     def num_draws(self) -> int:
-        return sum(size for _, size in self.fibres)
+        """|d(1)|, the sum of the fibre sizes: set by the check, or by whatever
+        adopts a bundle it already knows the total of."""
+        return sum([size for _, size in self.fibres])
 
     def to_poly(self) -> DirPoly:
         """Forget labels and order; inverse of ``DirPoly.to_bundle``."""

@@ -3,14 +3,21 @@
 Any finite distribution with rational probabilities arises from a bundle:
 with N the lcm of the reduced denominators, outcome x gets prob(x) * N
 draws, the smallest bundle inducing it.  ``Fraction`` appears only at the
-API boundary, floats nowhere: checking and realising cost one lcm N, then
-integer numerators num * (N // den), which must sum to N, and
-``to_distribution`` one gcd per fibre to reduce size / draw count.  The two
-conversions and ``product_bundle`` adopt what they build without checking
-it again: a valid distribution realises as a valid bundle (distinct string
-labels, natural sizes), a bundle with draws has a valid distribution (exact
-fractions summing to 1), and two valid bundles have a valid product (its
-labels are distinct because their encoding can be undone).
+API boundary, floats nowhere.  A ``RationalDistribution`` is checked in
+one pass over its rows, which reads each numerator and denominator once
+and raises at the first bad row.  Before any lcm or gcd, it is refused
+once a lower bound on the digits of its distinct denominators, taken from
+their bit lengths, passes MAX_DENOMINATOR_DIGITS: the lcm and the
+divisions by it take time quadratic in those digits.  One lcm N then
+gives the integer numerators num * (N // den), which must sum to N; N is
+kept, so ``from_rational_distribution`` takes no second lcm.
+``to_distribution`` costs one gcd per fibre, to reduce size / draw
+count.  The two conversions and ``product_bundle`` adopt what they build,
+with its draw count, without checking it again: a valid distribution
+realises as a valid bundle (distinct string labels, natural sizes), a
+bundle with draws has a valid distribution (exact fractions summing to 1),
+and two valid bundles have a valid product (its labels are distinct
+because their encoding can be undone).
 
 ``fractions`` (and with it ``decimal`` and ``numbers``) is imported only by
 the functions that make Fractions, to keep it out of the CLI's start-up.
@@ -20,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .core import LabelledBundle, _adopt
@@ -27,6 +35,15 @@ from .expr import MAX_OUTPUT_DIGITS, _ratio
 
 if TYPE_CHECKING:
     from fractions import Fraction
+
+#: Most decimal digits the distinct denominators of a distribution may have
+#: in all.  A realised draw count past MAX_OUTPUT_DIGITS is not printed anyway;
+#: twice that leaves room for denominators that share factors.
+MAX_DENOMINATOR_DIGITS = 2 * MAX_OUTPUT_DIGITS
+#: A number of b bits has more than (b - 1) * log10(2) digits, so distinct
+#: denominators whose bit lengths, less one each, sum past this have more than
+#: MAX_DENOMINATOR_DIGITS digits in all.
+_DENOMINATOR_BITS = math.ceil(MAX_DENOMINATOR_DIGITS * math.log2(10))
 
 
 def _shown(p: Fraction) -> str:
@@ -45,22 +62,38 @@ class RationalDistribution:
 
     def __post_init__(self):
         import fractions
-        entries = tuple([(label, p if isinstance(p, fractions.Fraction) else fractions.Fraction(p))
-                         for label, p in self.entries])
-        object.__setattr__(self, "entries", entries)
+        fraction = fractions.Fraction
+        entries = tuple([(label, p if isinstance(p, fraction) else fraction(p)) for label, p in self.entries])
+        fields = self.__dict__  # written directly, as in LabelledBundle
+        fields["entries"] = entries
         seen = set()
+        nums, dens = [], []
         for label, p in entries:
             if not isinstance(label, str):
                 raise TypeError("labels must be strings")
-            if p.numerator < 0:
+            num, den = p.as_integer_ratio()
+            if num < 0:
                 raise ValueError(f"negative probability {_shown(p)} for {label!r}")
             if label in seen:
                 raise ValueError(f"duplicate outcome label {label!r}")
             seen.add(label)
-        n = math.lcm(*[p.denominator for _, p in entries])
-        total = sum(p.numerator * (n // p.denominator) for _, p in entries)
+            nums.append(num)
+            dens.append(den)
+        if sum(map(int.bit_length, dens)) - len(dens) > _DENOMINATOR_BITS:  # before any lcm or gcd
+            distinct = {*dens}
+            if sum(map(int.bit_length, distinct)) - len(distinct) > _DENOMINATOR_BITS:
+                raise ValueError(f"the distinct denominators have more than {MAX_DENOMINATOR_DIGITS} digits in all")
+        n = math.lcm(*dens)
+        total = sum(num * (n // den) for num, den in zip(nums, dens))
         if total != n:
-            raise ValueError(f"probabilities must sum to 1 exactly, got {_shown(fractions.Fraction(total, n))}")
+            raise ValueError(f"probabilities must sum to 1 exactly, got {_shown(fraction(total, n))}")
+        fields["_lcm"] = n
+
+    @cached_property
+    def _lcm(self) -> int:
+        """N, the lcm of the denominators: set by the check, computed on first
+        use by a distribution adopted without one."""
+        return math.lcm(*[p.denominator for _, p in self.entries])
 
     @property
     def probabilities(self) -> tuple[Fraction, ...]:
@@ -68,14 +101,13 @@ class RationalDistribution:
 
 
 def from_rational_distribution(dist: RationalDistribution) -> LabelledBundle:
-    """The minimal bundle realising the distribution.
-
-    The draw count N is the lcm of the reduced denominators, so every fibre
-    size prob(x) * N is the exact integer num * (N // den).
-    """
-    n = math.lcm(*[p.denominator for _, p in dist.entries])
+    """The minimal bundle realising the distribution: N draws, N the lcm of the
+    reduced denominators, and the exact integer num * (N // den) of them over
+    the outcome of probability num/den."""
+    n = dist._lcm
     return _adopt(LabelledBundle, {"fibres": tuple([(label, p.numerator * (n // p.denominator))
-                                                   for label, p in dist.entries])})
+                                                   for label, p in dist.entries]),
+                                   "num_draws": n})
 
 
 def to_distribution(bundle: LabelledBundle) -> RationalDistribution:
@@ -84,7 +116,8 @@ def to_distribution(bundle: LabelledBundle) -> RationalDistribution:
     total = bundle.num_draws
     if total == 0:
         raise ValueError("a bundle with no draws has no distribution")
-    return _adopt(RationalDistribution, {"entries": tuple([(label, fractions.Fraction(size, total))
+    fraction = fractions.Fraction
+    return _adopt(RationalDistribution, {"entries": tuple([(label, fraction(size, total))
                                                           for label, size in bundle.fibres])})
 
 
@@ -104,4 +137,5 @@ def product_bundle(b1: LabelledBundle, b2: LabelledBundle) -> LabelledBundle:
     """
     right = [(_escape(l2), s2) for l2, s2 in b2.fibres]
     return _adopt(LabelledBundle, {"fibres": tuple([(f"({_escape(l1)},{l2})", s1 * s2)
-                                                   for l1, s1 in b1.fibres for l2, s2 in right])})
+                                                   for l1, s1 in b1.fibres for l2, s2 in right]),
+                                   "num_draws": b1.num_draws * b2.num_draws})

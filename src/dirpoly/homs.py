@@ -38,11 +38,17 @@ def hom_count(d: DirPoly, e: DirPoly) -> int:
 
 
 def _aligned(bd: LabelledBundle, be: LabelledBundle) -> list[tuple[int, int]]:
-    """[(|d[i]|, |e[i]|)] in bd's order, matched by label; the bundles must share their labels."""
+    """[(|d[i]|, |e[i]|)] in bd's order, matched by label; the bundles must share their labels.
+
+    A bundle's labels are distinct, so the sets are equal when they are as
+    many and each of bd's labels is one of be's: one dict, not two."""
     e_sizes = be.sizes_by_label
-    if e_sizes.keys() != bd.sizes_by_label.keys():
-        raise ValueError("bundles must have identical label sets")
-    return [(d_size, e_sizes[label]) for label, d_size in bd.fibres]
+    if len(e_sizes) == len(bd.fibres):
+        try:
+            return [(d_size, e_sizes[label]) for label, d_size in bd.fibres]
+        except KeyError:
+            pass
+    raise ValueError("bundles must have identical label sets")
 
 
 def hom_count_over_base(bd: LabelledBundle, be: LabelledBundle) -> int:

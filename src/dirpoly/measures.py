@@ -19,12 +19,13 @@ rectangle-area check is reported as degenerate rather than pass/fail.
 Kullback-Leibler divergence is the data mean of log2(p/q), not H(d, e) - H(d).
 
 Fibre sizes of 0 follow the limit convention 0 * log 0 == 0 throughout.
-Every logarithm is of an exact integer ratio, through log1p near 1, and
-every sum is a math.fsum, so nothing cancels.  H(d) is H(d, d): one sum,
-``_entropy``, gives both; one width root, ``rect._width``, gives both
-widths.  KL has its own sum, ``_kl``, so that it needs neither the cross
-width's exact product nor the cross length 2**H, which can pass the float
-range while KL is finite.
+Every logarithm is of an exact integer ratio, through log1p near 1, by the
+one rule of ``_log2_ratio``, and every sum is a math.fsum, so nothing
+cancels.  ``_entropy`` sums H(d) over fibre sizes and their counts;
+``_cross_sums`` walks the aligned pairs once for both H(d, e) and KL, so
+that ``dirpoly kl`` needs neither the cross width's exact product nor the
+cross length 2**H, which can pass the float range while KL is finite.  One
+width root, ``rect._width``, gives both widths.
 """
 
 from __future__ import annotations
@@ -71,11 +72,10 @@ def _log2_ratio(num: int, den: int) -> float:
     return math.log2(num) - math.log2(den)
 
 
-def _entropy(triples, d_total: int, e_total: int) -> float:
-    """Cross entropy of (data size d, model size e, count c) triples over d_total
-    and e_total draws: the fsum of c*d/d_total * log2(e_total/e), empty data
-    fibres adding nothing; the entropy where every e is its d."""
-    return math.fsum(c * d / d_total * _log2_ratio(e_total, e) for d, e, c in triples if d)
+def _entropy(counts, total: int) -> float:
+    """Entropy of (fibre size s, count c) pairs over total draws: the fsum of
+    c*s/total * log2(total/s), empty fibres adding nothing."""
+    return math.fsum(c * s / total * _log2_ratio(total, s) for s, c in counts if s)
 
 
 def entropy(bundle: LabelledBundle) -> float:
@@ -83,7 +83,7 @@ def entropy(bundle: LabelledBundle) -> float:
     total = bundle.num_draws
     if total == 0:
         raise ValueError("entropy is undefined for a bundle with no draws")
-    return _entropy(((size, size, 1) for _, size in bundle.fibres), total, total)
+    return _entropy(((size, 1) for _, size in bundle.fibres), total)
 
 
 def measures(d: DirPoly) -> Measures:
@@ -92,8 +92,7 @@ def measures(d: DirPoly) -> Measures:
     area, power = r.area, r.power_product
     if area == 0:
         raise ValueError("measures are undefined for a polynomial with no draws")
-    terms = d._terms
-    h = _entropy(zip(terms, terms, terms.values()), area, area)
+    h = _entropy(d._terms.items(), area)
     return _adopt(Measures, {"area": area, "power_product": power, "width": _width(area, power),
                              "entropy": h, "length": 2.0**h})
 
@@ -140,30 +139,38 @@ def _cross_pairs(bd: LabelledBundle, be: LabelledBundle) -> tuple[list[tuple[int
     return pairs, d_total, e_total
 
 
-def _kl(pairs: list[tuple[int, int]], d_total: int, e_total: int) -> float:
-    """KL divergence over (data size, model size) pairs: the data mean of
-    log2(p/q), from p/q = (d*E)/(D*e) itself, where H(d,e) - H(d) cancels
-    near 0; +inf when a positive data fibre has an empty model fibre."""
+def _cross_sums(pairs: list[tuple[int, int]], d_total: int, e_total: int) -> tuple[float, float]:
+    """(H(d, e), KL) over (data size d, model size e) pairs in one walk: each
+    positive d adds d/d_total * log2(e_total/e) to the cross entropy and
+    d/d_total * log2(p/q) to KL, from p/q = (d*e_total)/(d_total*e) itself,
+    where H(d,e) - H(d) cancels near 0; (inf, inf) once a positive d has an
+    empty model fibre."""
+    h, kl = [], []
     for d, e in pairs:
-        if d and not e:
-            return math.inf
-    return math.fsum(d / d_total * _log2_ratio(d * e_total, d_total * e) for d, e in pairs if d)
+        if d:
+            if not e:
+                return math.inf, math.inf
+            weight = d / d_total
+            h.append(weight * _log2_ratio(e_total, e))
+            kl.append(weight * _log2_ratio(d * e_total, d_total * e))
+    return math.fsum(h), math.fsum(kl)
 
 
 def cross_measures(bd: LabelledBundle, be: LabelledBundle) -> CrossMeasures:
     """Cross measures of data bundle bd against model bundle be.
 
     Fibres are matched by label, as ``homs._aligned`` pairs them; the cross
-    width is the |d(1)|-th root of the exact product of |e[i]|**|d[i]|.
+    width is the |d(1)|-th root of the exact product of |e[i]|**|d[i]|,
+    taken only when no positive data fibre has an empty model fibre.
     """
     pairs, d_total, e_total = _cross_pairs(bd, be)
-    power = _power_product(pairs)
-    if power == 0:  # positive data mass on an empty model fibre
+    h, kl = _cross_sums(pairs, d_total, e_total)
+    if h == math.inf:
         return _adopt(CrossMeasures, {"cross_entropy": math.inf, "cross_area": e_total, "cross_width": 0.0,
                                       "cross_length": math.inf, "kl": math.inf})
-    h = _entropy(((d, e, 1) for d, e in pairs), d_total, e_total)
-    return _adopt(CrossMeasures, {"cross_entropy": h, "cross_area": e_total, "cross_width": _width(d_total, power),
-                                  "cross_length": 2.0**h, "kl": _kl(pairs, d_total, e_total)})
+    return _adopt(CrossMeasures, {"cross_entropy": h, "cross_area": e_total,
+                                  "cross_width": _width(d_total, _power_product(pairs)),
+                                  "cross_length": 2.0**h, "kl": kl})
 
 
 @dataclass(frozen=True)

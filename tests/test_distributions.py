@@ -2,7 +2,9 @@
 
 import gc
 import math
+import random
 import sys
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -18,6 +20,8 @@ from dirpoly import (
     product_bundle,
     to_distribution,
 )
+
+from dirpoly.distributions import MAX_DENOMINATOR_DIGITS
 
 from helpers import nonempty_bundles
 
@@ -295,3 +299,73 @@ def test_messages_name_a_number_past_the_output_limit():
     with pytest.raises(ValueError) as info:
         RationalDistribution((("a", 1 + F(1, q)), ("b", F(-1, q))))
     assert str(info.value) == f"negative probability {note} for 'b'"
+
+
+def test_distinct_denominators_past_the_budget_are_refused():
+    # 48 distinct 4200-digit denominators, 201,600 digits in all, are refused
+    # before any lcm; 100 rows over one such denominator are within the budget.
+    budget = "the distinct denominators have more than 200000 digits in all"
+    q = [10**4199 + 2 * i + 1 for i in range(48)]
+    with pytest.raises(ValueError) as info:
+        RationalDistribution(tuple((f"x{i}", F(1, d)) for i, d in enumerate(q)))
+    assert str(info.value) == budget
+    share = q[0] // 100
+    entries = [(f"x{i}", F(share, q[0])) for i in range(99)] + [("last", F(q[0] - 99 * share, q[0]))]
+    dist = RationalDistribution(entries)
+    assert to_distribution(from_rational_distribution(dist)) == dist
+
+
+def test_the_budget_refuses_only_what_is_past_it():
+    # 2**664386 passes: a lower bound from its bit length puts it at no more
+    # than 200,000 digits.  2**664387 is refused, and has 200,001 digits.
+    for k, refused in ((664_386, False), (664_387, True)):
+        q = 2**k
+        entries = [("a", F(1, q)), ("b", F(q - 1, q))]
+        if refused:
+            assert q >= 10**MAX_DENOMINATOR_DIGITS
+            with pytest.raises(ValueError, match="the distinct denominators have more than 200000 digits"):
+                RationalDistribution(entries)
+        else:
+            assert from_rational_distribution(RationalDistribution(entries)).num_draws == q
+    # Thousands of small 5-smooth denominators with at least 10/3 bits a digit:
+    # more than 666,666 bits, but fewer than 200,000 digits, so not refused.
+    dens, limit = [], 10**39
+    p2 = 1
+    while p2 < limit:
+        p3 = p2
+        while p3 < limit:
+            n = p3
+            while n < limit:
+                if 3 * n.bit_length() >= 10 * len(str(n)):
+                    dens.append(n)
+                n *= 5
+            p3 *= 3
+        p2 *= 2
+    chosen, digits = [], 0
+    for n in sorted(dens):
+        if digits + len(str(n)) <= MAX_DENOMINATOR_DIGITS - 200:  # room for the last row's
+            chosen.append(n)
+            digits += len(str(n))
+    entries = [(f"x{i}", F(1, n)) for i, n in enumerate(chosen)]
+    entries.append(("rest", 1 - sum(p for _, p in entries)))
+    distinct = {p.denominator for _, p in entries}
+    assert sum(len(str(n)) for n in distinct) <= MAX_DENOMINATOR_DIGITS
+    assert 3 * sum(n.bit_length() for n in distinct) > 10 * MAX_DENOMINATOR_DIGITS
+    d = RationalDistribution(entries)
+    assert to_distribution(from_rational_distribution(d)) == d
+
+
+def test_a_failing_sum_check_holds_one_draw_count_at_a_time():
+    # 1,000 distinct 100-digit denominators: an lcm N of about 100,000 digits
+    # (41 KB).  The check sums the 1,000 numerators num * (N // den) one at a
+    # time; keeping them all would take about 41 MB.
+    rng = random.Random(16)
+    entries = [(f"x{i}", F(1, rng.randrange(10**99, 10**100))) for i in range(1000)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="probabilities must sum to 1 exactly"):
+            RationalDistribution(entries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000

@@ -1,0 +1,96 @@
+"""Time against input size, one family of inputs per command and dimension.
+
+Each linear family runs one command through ``main()`` on k and on 4k
+bundle rows and compares the minimum of 3 runs at each size: a ratio of
+minima within one process holds up on a shared host far better than a
+time.  Reading the files, aligning the labels, the entropy and KL walk and
+the rendering are each linear in the rows, so such a path reads about x4
+(less, as ``main()`` has a fixed cost too), and a quadratic one about x16.
+The bound is x8, the geometric mean of the two: a factor 2 of room for
+noise on either side.  A bounded family instead exits 2 at both sizes.
+"""
+
+from __future__ import annotations
+
+import io
+import random
+import time
+from contextlib import redirect_stderr, redirect_stdout
+
+from dirpoly.cli import main
+
+K = 1000
+LINEAR_BOUND = 8.0  # sqrt(4 * 16): between a linear x4 and a quadratic x16
+
+
+def timed(argv: list[str]) -> tuple[int, float]:
+    """Exit code and the minimum wall time of 3 runs of ``main(argv)``."""
+    best = float("inf")
+    for _ in range(3):
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            t0 = time.perf_counter()
+            code = main(argv)
+            best = min(best, time.perf_counter() - t0)
+    return code, best
+
+
+def write_rows(path, header: str, rows) -> str:
+    path.write_text("\n".join([header, *[f"{label},{value}" for label, value in rows]]) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def bundle_pair(tmp_path, rows: int) -> tuple[str, str]:
+    """A data and a model bundle file over one label set, the model's rows shuffled.
+
+    Model sizes are powers of two, so the cross width's exact product is one
+    shift and the rows, not the product's digits, set the cost."""
+    rng = random.Random(rows)
+    labels = [f"o{i}" for i in range(rows)]
+    data = [(label, rng.randint(1, 9)) for label in labels]
+    model = [(label, 2 ** rng.randint(0, 3)) for label in labels]
+    rng.shuffle(model)
+    return (write_rows(tmp_path / f"d{rows}.csv", "label,fibre", data),
+            write_rows(tmp_path / f"e{rows}.csv", "label,fibre", model))
+
+
+def ratio(tmp_path, command: str) -> float:
+    times = []
+    for rows in (K, 4 * K):
+        data, model = bundle_pair(tmp_path, rows)
+        code, seconds = timed([command, data] if command == "to-dist" else [command, data, model])
+        assert code == 0
+        times.append(seconds)
+    return times[1] / times[0]
+
+
+def test_to_dist_is_linear_in_rows(tmp_path):
+    assert ratio(tmp_path, "to-dist") < LINEAR_BOUND
+
+
+def test_kl_is_linear_in_rows(tmp_path):
+    assert ratio(tmp_path, "kl") < LINEAR_BOUND
+
+
+def test_cross_is_linear_in_rows(tmp_path):
+    assert ratio(tmp_path, "cross") < LINEAR_BOUND
+
+
+def test_from_dist_on_long_denominators_is_bounded(tmp_path):
+    # 25 rows of 4200-digit denominators, 105,000 digits, are within the
+    # budget: the sum is taken, and its message names a fraction past the
+    # output limit.  100 rows, 420,000 digits, are refused before any lcm,
+    # so the larger input is the faster one.
+    rng = random.Random(1)
+    denominators = [rng.randrange(10**4199, 10**4200) for _ in range(100)]
+    seconds = []
+    for rows in (25, 100):
+        path = write_rows(tmp_path / f"p{rows}.csv", "label,probability",
+                          [(f"x{i}", f"1/{q}") for i, q in enumerate(denominators[:rows])])
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            t0 = time.perf_counter()
+            code = main(["from-dist", path])
+            seconds.append(time.perf_counter() - t0)
+        assert (code, out.getvalue()) == (2, "")
+        assert err.getvalue().startswith("error: ")
+    assert seconds[1] < seconds[0]
