@@ -37,9 +37,11 @@ from .expr import MAX_OUTPUT_DIGITS, MAX_TERM_PAIRS, _TOO_LONG, _decimal, _natur
 from .homs import _aligned, hom_count, hom_count_over_base
 from .measures import (
     DEFAULT_TOL,
+    _check_cross,
+    _cross_measures,
     _cross_pairs,
     _cross_sums,
-    check_cross_rectangle_area,
+    check_cross_rectangle_area,  # noqa: F401 (still importable from here; `cross` checks through _check_cross)
     check_rectangle_area,
     measures,
 )
@@ -123,9 +125,10 @@ def _check_power_product(d) -> None:
     _check_size((math.log10(b), c * b) for b, c in d.terms.items() if b > 1)
 
 
-def _check_over_base(bd, be, message: str = _TOO_LONG) -> None:
-    """Size guard for the product of |e_i|**|d_i| of the over-base hom count and the cross width."""
-    _check_size(((math.log10(e) if e else -math.inf, d) for d, e in _aligned(bd, be)), message)
+def _check_over_base(pairs, message: str = _TOO_LONG) -> None:
+    """Size guard for the product of |e_i|**|d_i| over the aligned (|d_i|, |e_i|) pairs
+    of the over-base hom count and the cross width."""
+    _check_size(((math.log10(e) if e else -math.inf, d) for d, e in pairs), message)
 
 
 def _render(document: dict, human, structured: bool) -> str:
@@ -202,9 +205,9 @@ def _cmd_check(args):
 
 
 def _cmd_cross(args):
-    bd, be = read_bundle(args.data), read_bundle(args.model)
-    _check_over_base(bd, be, f"the cross width needs an exact product of more than {MAX_OUTPUT_DIGITS} digits")
-    report = check_cross_rectangle_area(bd, be, tol=args.tol)
+    pairs, d_total, e_total = _cross_pairs(read_bundle(args.data), read_bundle(args.model))  # the one alignment
+    _check_over_base(pairs, f"the cross width needs an exact product of more than {MAX_OUTPUT_DIGITS} digits")
+    report = _check_cross(_cross_measures(pairs, d_total, e_total), args.tol)
     cm = report.cross
     document = {
         "crossEntropy": cm.cross_entropy,
@@ -226,7 +229,7 @@ def _cmd_kl(args):
 def _cmd_hom_count(args):
     if args.over_base:
         bd, be = read_bundle(args.a), read_bundle(args.b)
-        _check_over_base(bd, be)
+        _check_over_base(_aligned(bd, be))
         count = hom_count_over_base(bd, be)
     else:
         d, e = parse(args.a), parse(args.b)

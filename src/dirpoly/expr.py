@@ -12,6 +12,11 @@ zero polynomial while "0^y" is not.  The exponent variable is the literal
 character 'y'; anything else after '^' is rejected, as are numeric
 exponents.
 
+``parse`` reads a sum of monomials (text without parentheses whose terms are
+'*'-products of NAT and NAT '^' 'y') in one pass over its terms; any other
+text, every invalid one included, goes to the general one-pass token loop,
+so each ParseError message and position comes from that loop alone.
+
 ``format_poly`` writes the canonical form back out: bases descending, each
 term as "a*n^y", dropping a coefficient of 1, printing base-1 terms as the
 bare coefficient, and the zero polynomial as "0".  All of dirpoly writes
@@ -75,10 +80,47 @@ def _limbs(terms: dict[int, int]) -> int:
 
 
 def parse(text: str) -> DirPoly:
-    """Parse an expression to its canonical polynomial in one pass over its tokens,
-    without recursion: each operator closes the product ('*'), sum ('+') or
-    parenthesis (')') before it, and ')' multiplies the inner sum into the
-    product saved at its '(' as one factor."""
+    """Parse an expression to its canonical polynomial: a sum of monomials in
+    one pass over its terms, anything else by ``_parse_loop``."""
+    terms = _sum_of_monomials(text)
+    return _parse_loop(text) if terms is None else DirPoly._wrap(terms)
+
+
+def _sum_of_monomials(text: str) -> dict[int, int] | None:
+    """The terms of a '+'-separated sum of '*'-separated factors, each an ASCII
+    natural k or k '^' 'y', whitespace around any token: one running
+    (coefficient, base) per term, added straight into the result.  None for
+    any other text, such as parentheses, an odd token, an empty term or a
+    literal ``_natural`` refuses, which ``_parse_loop`` then reads or rejects
+    with its message and position.  Such a text charges at most one term pair
+    per '*', within the ``MAX_TERM_PAIRS + len(text)`` budget, so no budget
+    is checked here."""
+    total = {}
+    for term in text.split("+"):
+        coeff = base = 1
+        for factor in term.split("*"):
+            number, caret, power = factor.partition("^")
+            number = number.strip()
+            if not (number.isdigit() and number.isascii()) or caret and power.strip() != "y":
+                return None
+            try:
+                n = _natural(number)
+            except ValueError:
+                return None
+            if caret:
+                base *= n
+            else:
+                coeff *= n
+        if coeff:
+            total[base] = total.get(base, 0) + coeff
+    return total
+
+
+def _parse_loop(text: str) -> DirPoly:
+    """Parse any expression in one pass over its tokens, without recursion:
+    each operator closes the product ('*'), sum ('+') or parenthesis (')')
+    before it, and ')' multiplies the inner sum into the product saved at its
+    '(' as one factor.  Every ParseError comes from here."""
     bad = _BAD_CHAR.search(text)
     if bad:
         raise ParseError(f"unexpected character {bad.group()!r}", bad.start())

@@ -25,17 +25,18 @@ cancels.  ``_entropy`` sums H(d) over fibre sizes and their counts;
 ``_cross_sums`` walks the aligned pairs once for both H(d, e) and KL, so
 that ``dirpoly kl`` needs neither the cross width's exact product nor the
 cross length 2**H, which can pass the float range while KL is finite.  One
-width root, ``rect._width``, gives both widths.
+width root, ``rect._width_of_log``, gives both widths.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import DirPoly, LabelledBundle, _adopt, _power_product
 from .homs import _aligned
-from .rect import _width, rect_of
+from .rect import _width_of_log, rect_of
 
 #: Default relative tolerance of the rectangle-area checks.
 DEFAULT_TOL = 1e-9
@@ -51,6 +52,11 @@ class Measures:
     width: float
     entropy: float
     length: float
+
+    @cached_property
+    def _log2_power(self) -> float:
+        """log2 P, the area check's; ``measures`` sets it from the width's own."""
+        return math.log2(self.power_product)
 
 
 @dataclass(frozen=True)
@@ -75,7 +81,7 @@ def _log2_ratio(num: int, den: int) -> float:
 def _entropy(counts, total: int) -> float:
     """Entropy of (fibre size s, count c) pairs over total draws: the fsum of
     c*s/total * log2(total/s), empty fibres adding nothing."""
-    return math.fsum(c * s / total * _log2_ratio(total, s) for s, c in counts if s)
+    return math.fsum([c * s / total * _log2_ratio(total, s) for s, c in counts if s])
 
 
 def entropy(bundle: LabelledBundle) -> float:
@@ -93,8 +99,9 @@ def measures(d: DirPoly) -> Measures:
     if area == 0:
         raise ValueError("measures are undefined for a polynomial with no draws")
     h = _entropy(d._terms.items(), area)
-    return _adopt(Measures, {"area": area, "power_product": power, "width": _width(area, power),
-                             "entropy": h, "length": 2.0**h})
+    log_power = math.log2(power)  # P >= 1: its draws are coeff*base, so a base 0 has exponent 0
+    return _adopt(Measures, {"area": area, "power_product": power, "width": _width_of_log(area, log_power),
+                             "entropy": h, "length": 2.0**h, "_log2_power": log_power})
 
 
 @dataclass(frozen=True)
@@ -115,15 +122,23 @@ class AreaCheck:
     passed: bool
 
 
+def _check_tol(tol: float) -> None:
+    """Refuse a tolerance that is not a finite number >= 0; NaN fails every comparison."""
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"the tolerance must be a finite number >= 0, got {tol!r}")
+
+
 def check_rectangle_area(d: DirPoly, tol: float = DEFAULT_TOL) -> AreaCheck:
     """Verify A == L*W for one polynomial, both in floats and in log form."""
+    _check_tol(tol)
     m = measures(d)
+    area = m.area
     product = m.length * m.width
-    float_error = abs(m.area - product)
-    float_bound = tol * m.area
-    log_area = math.log2(m.area)
-    log_error = abs(m.area * m.entropy + math.log2(m.power_product) - m.area * log_area)
-    log_bound = tol * m.area * log_area
+    float_error = abs(area - product)
+    float_bound = tol * area
+    log_area = math.log2(area)
+    log_error = abs(area * m.entropy + m._log2_power - area * log_area)
+    log_bound = float_bound * log_area
     return _adopt(AreaCheck, {"measures": m, "product": product, "float_error": float_error,
                               "float_bound": float_bound, "log_error": log_error, "log_bound": log_bound,
                               "tol": tol, "passed": float_error <= float_bound and log_error <= log_bound})
@@ -163,13 +178,17 @@ def cross_measures(bd: LabelledBundle, be: LabelledBundle) -> CrossMeasures:
     width is the |d(1)|-th root of the exact product of |e[i]|**|d[i]|,
     taken only when no positive data fibre has an empty model fibre.
     """
-    pairs, d_total, e_total = _cross_pairs(bd, be)
+    return _cross_measures(*_cross_pairs(bd, be))
+
+
+def _cross_measures(pairs: list[tuple[int, int]], d_total: int, e_total: int) -> CrossMeasures:
+    """``cross_measures`` of the ``_cross_pairs`` of two bundles."""
     h, kl = _cross_sums(pairs, d_total, e_total)
     if h == math.inf:
         return _adopt(CrossMeasures, {"cross_entropy": math.inf, "cross_area": e_total, "cross_width": 0.0,
                                       "cross_length": math.inf, "kl": math.inf})
     return _adopt(CrossMeasures, {"cross_entropy": h, "cross_area": e_total,
-                                  "cross_width": _width(d_total, _power_product(pairs)),
+                                  "cross_width": _width_of_log(d_total, math.log2(_power_product(pairs))),
                                   "cross_length": 2.0**h, "kl": kl})
 
 
@@ -194,7 +213,12 @@ def check_cross_rectangle_area(
     bd: LabelledBundle, be: LabelledBundle, tol: float = DEFAULT_TOL
 ) -> CrossAreaCheck:
     """Verify A(d,e) == L(d,e) * W(d,e), or report the pair as degenerate."""
-    cm = cross_measures(bd, be)
+    return _check_cross(cross_measures(bd, be), tol)
+
+
+def _check_cross(cm: CrossMeasures, tol: float) -> CrossAreaCheck:
+    """The cross rectangle-area check of cross measures already taken."""
+    _check_tol(tol)
     if math.isinf(cm.cross_entropy):
         return _adopt(CrossAreaCheck, {"status": "degenerate", "cross": cm, "product": None,
                                        "float_error": None, "float_bound": None, "tol": tol})

@@ -10,8 +10,9 @@ Widths of polynomial images are usually irrational, so an element is stored
 exactly as (A, P) with P = W**A, both arbitrary-precision naturals.  In that
 encoding addition is integer multiplication of the P parts and
 multiplication is an integer power combination, so all rig arithmetic stays
-exact; the only approximation is the one width root ``_width``, which
-``RectValue.width`` wraps and ``measures`` calls for both its widths.
+exact; the only approximation is the one width root ``_width_of_log`` of
+log2 P, which ``RectValue.width`` takes through ``_width``, and ``measures``
+directly for both its widths, keeping log2 P for the area check.
 
 The encoding quotients out the width of zero-area elements: every (0, W)
 collapses to area 0, P = 1.  No rig operation lets the width of a zero-area
@@ -79,7 +80,11 @@ def _width(area: int, power_product: int) -> float:
     if power_product <= 1:  # exact at any area, even past the float range
         return float(power_product)
     # math.log2 handles ints beyond float range, so huge P is fine.
-    log_p = math.log2(power_product)
+    return _width_of_log(area, math.log2(power_product))
+
+
+def _width_of_log(area: int, log_p: float) -> float:
+    """The width 2**(log_p/A) of a positive area A, given log_p = log2 P; 1.0 at log_p = 0."""
     try:
         exponent = log_p / area
     except OverflowError:  # an area past the float range: divide by its top 64 bits, then scale
@@ -106,5 +111,10 @@ class WidthApprox:
 def rect_of(d: DirPoly) -> RectValue:
     """Map a polynomial to its exact rectangle (total draws, size**size product)."""
     # Both are naturals, and P is the empty product 1 at area 0: nothing to check.
-    power = _power_product([(coeff * base, base) for base, coeff in d._terms.items()])
-    return _adopt(RectValue, {"area": d.num_draws, "power_product": power})
+    pairs = []
+    area = 0
+    for base, coeff in d._terms.items():
+        draws = coeff * base
+        area += draws
+        pairs.append((draws, base))
+    return _adopt(RectValue, {"area": area, "power_product": _power_product(pairs)})

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from dirpoly import DirPoly, LabelledBundle, cross_measures, measures
-from dirpoly import cli
+from dirpoly import cli, homs
 from dirpoly.cli import MAX_OUTPUT_DIGITS, main, read_bundle, read_distribution
 from dirpoly.expr import MAX_TERM_PAIRS, _decimal, parse
 
@@ -484,6 +484,37 @@ def test_cross_width_product_is_bounded(capsys, tmp_path, monkeypatch):
     message = "the cross width needs an exact product of more than 100000 digits"
     assert run(capsys, "cross", big, big) == (2, "", f"error: {message}\n")
     assert run(capsys, "cross", "--format", "structured", big, big) == (2, "", json.dumps({"error": message}) + "\n")
+
+
+def test_cross_aligns_the_bundles_once(capsys, tmp_path, monkeypatch):
+    calls = []
+    aligned = homs._aligned
+    for module in (homs, sys.modules["dirpoly.measures"], cli):
+        monkeypatch.setattr(module, "_aligned", lambda bd, be: calls.append(1) or aligned(bd, be))
+    data = write_bundle_file(tmp_path / "d.csv", [("a", 1), ("b", 1)])
+    model = write_bundle_file(tmp_path / "m.csv", [("b", 1), ("a", 3)])
+    for argv in (["cross", data, model], ["cross", "--format", "structured", data, model]):
+        calls.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert len(calls) == 1, argv
+
+    def not_called(*args, **kwargs):
+        raise AssertionError("computed past the size guard")
+
+    monkeypatch.setattr(cli, "_cross_measures", not_called)
+    big = write_bundle_file(tmp_path / "big.csv", [("a", 123456789012345678901234567890), ("b", 10**30)])
+    message = "the cross width needs an exact product of more than 100000 digits"
+    assert run(capsys, "cross", big, big) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_bad_tolerance_exits_2(capsys, tmp_path, tol):
+    data = write_bundle_file(tmp_path / "d.csv", [("a", 1), ("b", 1)])
+    model = write_bundle_file(tmp_path / "m.csv", [("a", 3), ("b", 1)])
+    message = f"the tolerance must be a finite number >= 0, got {float(tol)!r}"
+    for argv in (["check", "--tol", tol, "3*2^y + 5"], ["cross", "--tol", tol, data, model]):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+        assert run(capsys, argv[0], "--format", "structured", *argv[1:]) == (2, "", json.dumps({"error": message}) + "\n")
 
 
 def test_non_ascii_digits_exit_2(capsys, tmp_path):

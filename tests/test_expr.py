@@ -275,3 +275,48 @@ def test_long_literal_error_comes_before_later_syntax_errors():
 
 def test_unicode_whitespace_separates_tokens():
     assert parse("2^y\x1c+\xa01\u3000* (3^y\x1f+\x85 0^y)") == parse("2^y + 1 * (3^y + 0^y)")
+
+
+# Text over the parser's alphabet and its edges: ASCII and Unicode
+# whitespace, non-ASCII digits, leading zeros, zero bases and coefficients,
+# and literals on either side of the 4300-digit int/str limit.
+_spaces = st.sampled_from(["", " ", "  ", "\t", "\n", "\xa0", "\x1c", "\u3000"])
+_literals = st.one_of(
+    st.sampled_from(["0", "1", "2", "00", "007", "10", "\u0663", "\uff13", "\u00b2", "9" * 4300, "9" * 4301]),
+    st.integers(0, 10**40).map(str),
+)
+_factors = st.builds(lambda a, n, b, power, c: a + n + b + ("^" + c + "y" + c if power else ""),
+                     _spaces, _literals, _spaces, st.booleans(), _spaces)
+_monomial_sums = st.lists(st.lists(_factors, min_size=1, max_size=3).map("*".join),
+                          min_size=1, max_size=6).map("+".join)
+_grouped = st.lists(st.one_of(_monomial_sums.map("({})".format), _factors), min_size=1, max_size=3).map("*".join)
+_scraps = st.lists(st.one_of(_spaces, _literals, st.sampled_from(list("+*^()y") + ["0^y", "0*5^y", "3*0^y"])),
+                   max_size=12).map("".join)
+
+
+def _outcome(parser, text):
+    """The terms in insertion order, or the ParseError's message and position."""
+    try:
+        return list(parser(text)._terms.items())
+    except ParseError as e:
+        return str(e), e.position
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_monomial_sums, st.lists(_grouped, min_size=1, max_size=3).map("+".join), _scraps,
+                 st.tuples(_monomial_sums, _scraps, _monomial_sums).map("".join)))
+@example("3*2^y + 5^y + 7")
+@example("0*5^y + 0^y*3 + 007 + 2 ^ y*2^y")
+@example("(3*2^y + 5^y + 7)")
+@example("3*2^y + 5^y +")
+@example("2^y + " + "9" * 4301)
+def test_parse_matches_the_general_loop(text):
+    assert _outcome(parse, text) == _outcome(expr._parse_loop, text)
+
+
+def test_sum_of_monomials_skips_the_general_loop(monkeypatch):
+    def not_called(text):
+        raise AssertionError("the general loop ran")
+
+    monkeypatch.setattr(expr, "_parse_loop", not_called)
+    assert parse("3*2^y + 5^y*1 + 7\t+\xa00^y * 2") == DirPoly({2: 3, 5: 1, 1: 7, 0: 2})

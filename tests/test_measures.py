@@ -295,3 +295,16 @@ def test_cross_results_equal_the_checked_ones(bd, data):
     if be.num_draws:
         for result in (cross_measures(bd, be), check_cross_rectangle_area(bd, be)):
             assert result == _checked(result) and repr(result) == repr(_checked(result))
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, -math.inf, math.inf])
+def test_area_checks_refuse_a_tolerance_that_is_not_finite_and_nonnegative(tol):
+    bd = LabelledBundle((("a", 1), ("b", 1)))
+    be = LabelledBundle((("a", 3), ("b", 1)))
+    for check, args in ((check_rectangle_area, (DirPoly({2: 3, 1: 5}),)), (check_cross_rectangle_area, (bd, be))):
+        with pytest.raises(ValueError) as e:
+            check(*args, tol)
+        assert str(e.value) == f"the tolerance must be a finite number >= 0, got {tol!r}"
+    # Zero is a tolerance: the one-ulp residue of 2^y + 1 fails it.
+    assert not check_rectangle_area(DirPoly({2: 1, 1: 1}), 0.0).passed
+    assert check_cross_rectangle_area(bd, be, 0.0).tol == 0.0

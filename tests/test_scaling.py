@@ -1,11 +1,14 @@
 """Time against input size, one family of inputs per command and dimension.
 
 Each linear family runs one command through ``main()`` on k and on 4k
-bundle rows and compares the minimum of 3 runs at each size: a ratio of
-minima within one process holds up on a shared host far better than a
-time.  Reading the files, aligning the labels, the entropy and KL walk and
-the rendering are each linear in the rows, so such a path reads about x4
-(less, as ``main()`` has a fixed cost too), and a quadratic one about x16.
+bundle rows, terms or nested parentheses and compares the minimum of 3 runs
+at each size: a ratio of minima within one process holds up on a shared
+host far better than a time.  Reading the files, aligning the labels, the
+entropy and KL walk, ``parse`` and the rendering are each linear in their
+input (the canonical form's sort adds a log factor), so such a path reads
+about x4 (less, as ``main()`` has a fixed cost too), and a quadratic one
+about x16.  Literal length has no family: below the int/str limit ``int()``
+itself is quadratic.
 The bound is x8, the geometric mean of the two: a factor 2 of room for
 noise on either side.  A bounded family instead exits 2 at both sizes.
 """
@@ -73,6 +76,30 @@ def test_kl_is_linear_in_rows(tmp_path):
 
 def test_cross_is_linear_in_rows(tmp_path):
     assert ratio(tmp_path, "cross") < LINEAR_BOUND
+
+
+def test_arith_add_is_linear_in_terms():
+    times = []
+    for terms in (K, 4 * K):
+        rng = random.Random(terms)
+        a, b = (" + ".join(f"{rng.randint(1, 99)}*{base}^y" for base in rng.sample(range(2, 10**6), terms))
+                for _ in range(2))
+        code, seconds = timed(["arith", "add", a, b])
+        assert code == 0
+        times.append(seconds)
+    assert times[1] / times[0] < LINEAR_BOUND
+
+
+def test_measures_is_linear_in_nesting():
+    times = []
+    for depth in (25, 100):
+        text = "1"
+        for level in range(depth):  # one more base and one more pair of parentheses per level
+            text = f"({text} + {level + 2}^y)"
+        code, seconds = timed(["measures", text])
+        assert code == 0
+        times.append(seconds)
+    assert times[1] / times[0] < LINEAR_BOUND
 
 
 def test_from_dist_on_long_denominators_is_bounded(tmp_path):
