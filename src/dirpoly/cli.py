@@ -27,21 +27,20 @@ import math
 import re
 import sys
 
-from .core import LabelledBundle
+from .core import LabelledBundle, _power_product
 from .distributions import (
     RationalDistribution,
     from_rational_distribution,
     to_distribution,
 )
 from .expr import MAX_OUTPUT_DIGITS, MAX_TERM_PAIRS, _TOO_LONG, _decimal, _natural, _ratio, format_poly, parse
-from .homs import _aligned, hom_count, hom_count_over_base
+from .homs import _aligned, hom_count
 from .measures import (
     DEFAULT_TOL,
     _check_cross,
     _cross_measures,
     _cross_pairs,
     _cross_sums,
-    check_cross_rectangle_area,  # noqa: F401 (still importable from here; `cross` checks through _check_cross)
     check_rectangle_area,
     measures,
 )
@@ -228,9 +227,9 @@ def _cmd_kl(args):
 
 def _cmd_hom_count(args):
     if args.over_base:
-        bd, be = read_bundle(args.a), read_bundle(args.b)
-        _check_over_base(_aligned(bd, be))
-        count = hom_count_over_base(bd, be)
+        pairs = _aligned(read_bundle(args.a), read_bundle(args.b))  # the one alignment
+        _check_over_base(pairs)
+        count = _power_product(pairs)  # hom_count_over_base of the two bundles
     else:
         d, e = parse(args.a), parse(args.b)
         e_terms = e.terms

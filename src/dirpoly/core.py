@@ -243,8 +243,8 @@ def _power_product(pairs: list[tuple[int, int]]) -> int:
 
 def _adopt(cls, fields: dict):
     """``cls(**fields)`` of a frozen dataclass, given every field, already known
-    to be valid, and any cached property already known: set at once, not by
-    one object.__setattr__ call per field."""
+    to be valid, and any cached or carried value already known: set at once,
+    not by one object.__setattr__ call per field."""
     obj = object.__new__(cls)
     object.__setattr__(obj, "__dict__", fields)
     return obj
@@ -269,6 +269,8 @@ class LabelledBundle:
     """
 
     fibres: tuple[tuple[str, int], ...]
+    #: The distribution the bundle realises; only ``from_rational_distribution`` sets it.
+    _distribution = None
 
     def __post_init__(self):
         fibres = tuple([(label, size) for label, size in self.fibres])

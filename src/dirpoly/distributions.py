@@ -10,14 +10,15 @@ once a lower bound on the digits of its distinct denominators, taken from
 their bit lengths, passes MAX_DENOMINATOR_DIGITS: the lcm and the
 divisions by it take time quadratic in those digits.  One lcm N then
 gives the integer numerators num * (N // den), which must sum to N; N is
-kept, so ``from_rational_distribution`` takes no second lcm.
-``to_distribution`` costs one gcd per fibre, to reduce size / draw
-count.  The two conversions and ``product_bundle`` adopt what they build,
-with its draw count, without checking it again: a valid distribution
-realises as a valid bundle (distinct string labels, natural sizes), a
-bundle with draws has a valid distribution (exact fractions summing to 1),
-and two valid bundles have a valid product (its labels are distinct
-because their encoding can be undone).
+kept, so ``from_rational_distribution`` takes no second lcm.  The bundle
+it builds carries the distribution, which ``to_distribution`` returns with
+no work; any other bundle starts without one and costs one gcd per fibre,
+to reduce size / draw count.  The two conversions and ``product_bundle``
+adopt what they build, with its draw count, without checking it again: a
+valid distribution realises as a valid bundle (distinct string labels,
+natural sizes), a bundle with draws has a valid distribution (exact
+fractions summing to 1), and two valid bundles have a valid product (its
+labels are distinct because their encoding can be undone).
 
 ``fractions`` (and with it ``decimal`` and ``numbers``) is imported only by
 the functions that make Fractions, to keep it out of the CLI's start-up.
@@ -107,11 +108,14 @@ def from_rational_distribution(dist: RationalDistribution) -> LabelledBundle:
     n = dist._lcm
     return _adopt(LabelledBundle, {"fibres": tuple([(label, p.numerator * (n // p.denominator))
                                                    for label, p in dist.entries]),
-                                   "num_draws": n})
+                                   "num_draws": n, "_distribution": dist})
 
 
 def to_distribution(bundle: LabelledBundle) -> RationalDistribution:
-    """The empirical distribution of a bundle, as exact reduced fractions."""
+    """The empirical distribution of a bundle, as exact reduced fractions:
+    for a realised bundle, the one it was realised from."""
+    if bundle._distribution is not None:
+        return bundle._distribution
     import fractions
     total = bundle.num_draws
     if total == 0:

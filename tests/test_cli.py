@@ -449,7 +449,7 @@ def test_size_guard_refuses_before_computing(capsys, tmp_path, monkeypatch):
     def not_called(*args, **kwargs):
         raise AssertionError("computed past the size guard")
 
-    for name in ("hom_count", "hom_count_over_base", "measures", "check_rectangle_area"):
+    for name in ("hom_count", "_power_product", "measures", "check_rectangle_area"):
         monkeypatch.setattr(cli, name, not_called)
     monkeypatch.setattr(DirPoly, "__call__", not_called)
     data = write_bundle_file(tmp_path / "d.csv", [("a", 30_000_000), ("b", 1)])
@@ -480,7 +480,7 @@ def test_cross_width_product_is_bounded(capsys, tmp_path, monkeypatch):
     assert run(capsys, "kl", big, big) == (0, "kl: 0\n", "")
     code, out, _ = run(capsys, "cross", big, empty_b)
     assert (code, out.splitlines()[-1]) == (0, "status: degenerate")
-    monkeypatch.setattr(cli, "check_cross_rectangle_area", not_called)
+    monkeypatch.setattr(cli, "_cross_measures", not_called)
     message = "the cross width needs an exact product of more than 100000 digits"
     assert run(capsys, "cross", big, big) == (2, "", f"error: {message}\n")
     assert run(capsys, "cross", "--format", "structured", big, big) == (2, "", json.dumps({"error": message}) + "\n")
@@ -505,6 +505,25 @@ def test_cross_aligns_the_bundles_once(capsys, tmp_path, monkeypatch):
     big = write_bundle_file(tmp_path / "big.csv", [("a", 123456789012345678901234567890), ("b", 10**30)])
     message = "the cross width needs an exact product of more than 100000 digits"
     assert run(capsys, "cross", big, big) == (2, "", f"error: {message}\n")
+
+
+def test_hom_count_over_base_aligns_the_bundles_once(capsys, tmp_path, monkeypatch):
+    calls = []
+    aligned = homs._aligned
+    for module in (homs, sys.modules["dirpoly.measures"], cli):
+        monkeypatch.setattr(module, "_aligned", lambda bd, be: calls.append(1) or aligned(bd, be))
+    data = write_bundle_file(tmp_path / "d.csv", [("a", 3), ("b", 2)])
+    model = write_bundle_file(tmp_path / "m.csv", [("b", 5), ("a", 2)])
+    for argv, out in ((["hom-count", "--over-base", data, model], "200\n"),
+                      (["hom-count", "--over-base", "--format", "structured", data, model], '{"count": 200}\n')):
+        calls.clear()
+        assert run(capsys, *argv) == (0, out, "")
+        assert len(calls) == 1, argv
+    other = write_bundle_file(tmp_path / "o.csv", [("a", 2), ("c", 5)])
+    calls.clear()
+    assert run(capsys, "hom-count", "--over-base", data, other) == (
+        2, "", "error: bundles must have identical label sets\n")
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])

@@ -1,5 +1,6 @@
 """Rational distributions and the minimal bundles that realise them."""
 
+import dataclasses
 import gc
 import math
 import random
@@ -264,6 +265,38 @@ def test_fibres_are_probability_times_lcm(entries):
 def test_round_trip_over_mixed_denominators(entries):
     d = RationalDistribution(entries)
     assert to_distribution(from_rational_distribution(d)) == d
+
+
+@given(valid_entries)
+def test_round_trip_through_a_checked_bundle(entries):
+    # A bundle checked afresh carries no distribution, so this one is built from its fibres.
+    d = RationalDistribution(entries)
+    assert to_distribution(LabelledBundle(from_rational_distribution(d).fibres)) == d
+
+
+def test_a_realised_bundle_gives_its_distribution_without_a_fraction(monkeypatch):
+    d = dist(("a", F(1, 3)), ("b", 0), ("c", F(2, 3)))
+    realised = from_rational_distribution(d)
+    made = []
+    new = F.__new__
+
+    def spy(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(spy))
+    assert to_distribution(realised).entries == d.entries
+    assert made == []
+    assert to_distribution(LabelledBundle(realised.fibres)).entries == d.entries
+    assert made == [(1, 3), (0, 3), (2, 3)]
+
+
+def test_only_the_realised_bundle_carries_its_distribution():
+    realised = from_rational_distribution(dist(("a", F(1, 3)), ("b", F(2, 3))))
+    replaced = dataclasses.replace(realised, fibres=(("a", 1), ("b", 1)))
+    assert to_distribution(replaced).entries == (("a", F(1, 2)), ("b", F(1, 2)))
+    assert to_distribution(product_bundle(realised, replaced)).probabilities == (F(1, 6),) * 2 + (F(1, 3),) * 2
+    assert to_distribution(realised).entries == (("a", F(1, 3)), ("b", F(2, 3)))
 
 
 @given(nonempty_bundles)

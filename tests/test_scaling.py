@@ -56,11 +56,11 @@ def bundle_pair(tmp_path, rows: int) -> tuple[str, str]:
             write_rows(tmp_path / f"e{rows}.csv", "label,fibre", model))
 
 
-def ratio(tmp_path, command: str) -> float:
+def ratio(tmp_path, command: str, *options: str) -> float:
     times = []
     for rows in (K, 4 * K):
         data, model = bundle_pair(tmp_path, rows)
-        code, seconds = timed([command, data] if command == "to-dist" else [command, data, model])
+        code, seconds = timed([command, *options, data] if command == "to-dist" else [command, *options, data, model])
         assert code == 0
         times.append(seconds)
     return times[1] / times[0]
@@ -76,6 +76,10 @@ def test_kl_is_linear_in_rows(tmp_path):
 
 def test_cross_is_linear_in_rows(tmp_path):
     assert ratio(tmp_path, "cross") < LINEAR_BOUND
+
+
+def test_hom_count_over_base_is_linear_in_rows(tmp_path):
+    assert ratio(tmp_path, "hom-count", "--over-base") < LINEAR_BOUND
 
 
 def test_arith_add_is_linear_in_terms():
