@@ -33,7 +33,8 @@ from .distributions import (
     from_rational_distribution,
     to_distribution,
 )
-from .expr import MAX_OUTPUT_DIGITS, MAX_TERM_PAIRS, _TOO_LONG, _decimal, _natural, _ratio, format_poly, parse
+from .expr import (MAX_OUTPUT_DIGITS, MAX_TERM_PAIRS, _TOO_LONG, _decimal, _natural, _past_cap, _ratio, format_poly,
+                   parse)
 from .homs import _aligned, hom_count
 from .measures import (
     DEFAULT_TOL,
@@ -138,10 +139,14 @@ def _render(document: dict, human, structured: bool) -> str:
     """
     if structured:
         import json
-        try:
+        values = [*document.values()]
+        values += [value for rows in values if isinstance(rows, list) for row in rows for value in row.values()]
+        try:  # json.dumps applies the interpreter's int/str digit limit, which may be off, but not the cap
+            if any(isinstance(value, int) and _past_cap(value) for value in values):
+                raise ValueError
             return json.dumps(document) + "\n"
-        except ValueError:  # an integer past the interpreter's int/str digit limit
-            limit = sys.get_int_max_str_digits()
+        except ValueError:
+            limit = min(sys.get_int_max_str_digits() or MAX_OUTPUT_DIGITS, MAX_OUTPUT_DIGITS)
             raise ValueError(f"an integer of more than {limit} digits is past the structured output limit") from None
     if human is None:
         human = document
@@ -152,6 +157,7 @@ def _render(document: dict, human, structured: bool) -> str:
 
 # Each handler makes its library calls and returns (document, human) for
 # ``_render``; a document whose "status" is "fail" makes the command exit 1.
+# ``from-dist -o`` adds its file's text, which ``main`` writes once the output has rendered.
 
 def _cmd_eval(args):
     d = parse(args.expr)
@@ -249,9 +255,8 @@ def _cmd_from_dist(args):
     bundle_lines = ["label,fibre", *(f"{label},{_human(size)}" for label, size in bundle.fibres)]
     total = _human(bundle.num_draws)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as f:
-            f.write("\n".join(bundle_lines) + "\n")
-        return document, [f"wrote {args.output}", f"polynomial: {poly_text}", f"total: {total}"]
+        file_text = "\n".join(bundle_lines) + "\n"
+        return document, [f"wrote {args.output}", f"polynomial: {poly_text}", f"total: {total}"], file_text
     # Stdout stays a valid bundle file; the extras ride along as comments.
     return document, [*bundle_lines, f"# polynomial: {poly_text}", f"# total: {total}"]
 
@@ -325,9 +330,13 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 2
     structured = args.format == "structured"
     try:
-        document, human = _COMMANDS[args.command][0](args)
-        # Rendered in full first, so a failure leaves stdout empty.
-        sys.stdout.write(_render(document, human, structured))
+        document, human, *output_file = _COMMANDS[args.command][0](args)
+        # Rendered in full first, so a failure leaves stdout empty and writes no file.
+        text = _render(document, human, structured)
+        if output_file:
+            with open(args.output, "w", encoding="utf-8") as f:
+                f.write(output_file[0])
+        sys.stdout.write(text)
     except (ValueError, OSError, OverflowError) as exc:  # ParseError is a ValueError
         # An OverflowError's text names the float operation, not the result.
         message = "a result is past the float range" if isinstance(exc, OverflowError) else str(exc)

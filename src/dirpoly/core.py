@@ -154,13 +154,15 @@ class DirPoly:
     __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = DirPoly.constant(other)
+        if isinstance(other, int):  # no polynomial embeds a negative integer
+            return other >= 0 and self._terms == _coerce(other)._terms
         if not isinstance(other, DirPoly):
             return NotImplemented
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        if self._terms.keys() <= {1}:  # a constant hashes as the int it equals
+            return hash(self._terms.get(1, 0))
         return hash(frozenset(self._terms.items()))
 
     def __bool__(self) -> bool:

@@ -13,12 +13,10 @@ gives the integer numerators num * (N // den), which must sum to N; N is
 kept, so ``from_rational_distribution`` takes no second lcm.  The bundle
 it builds carries the distribution, which ``to_distribution`` returns with
 no work; any other bundle starts without one and costs one gcd per fibre,
-to reduce size / draw count.  The two conversions and ``product_bundle``
-adopt what they build, with its draw count, without checking it again: a
-valid distribution realises as a valid bundle (distinct string labels,
-natural sizes), a bundle with draws has a valid distribution (exact
-fractions summing to 1), and two valid bundles have a valid product (its
-labels are distinct because their encoding can be undone).
+to reduce size / draw count.  The two conversions adopt what they build,
+with its draw count, without checking it again: a valid distribution
+realises as a valid bundle (distinct string labels, natural sizes), and a
+bundle with draws has a valid distribution (exact fractions summing to 1).
 
 ``fractions`` (and with it ``decimal`` and ``numbers``) is imported only by
 the functions that make Fractions, to keep it out of the CLI's start-up.
@@ -140,6 +138,4 @@ def product_bundle(b1: LabelledBundle, b2: LabelledBundle) -> LabelledBundle:
     the product of theirs.
     """
     right = [(_escape(l2), s2) for l2, s2 in b2.fibres]
-    return _adopt(LabelledBundle, {"fibres": tuple([(f"({_escape(l1)},{l2})", s1 * s2)
-                                                   for l1, s1 in b1.fibres for l2, s2 in right]),
-                                   "num_draws": b1.num_draws * b2.num_draws})
+    return LabelledBundle([(f"({_escape(l1)},{l2})", s1 * s2) for l1, s1 in b1.fibres for l2, s2 in right])

@@ -27,7 +27,6 @@ printed polynomial parses back only while its numbers are that short.
 
 from __future__ import annotations
 
-import itertools
 import re
 
 from .core import DirPoly, _mul_terms
@@ -62,16 +61,9 @@ class ParseError(ValueError):
 
 # Tokens are ASCII naturals and single characters; whitespace separates.
 # Any other character is rejected before parsing starts, so it is reported
-# ahead of any syntax error.  Past it, padding each operator with spaces and
-# splitting gives exactly _TOKEN's tokens; only errors scan _TOKEN, for positions.
+# ahead of any syntax error.
 _TOKEN = re.compile(r"[0-9]+|\S")
 _BAD_CHAR = re.compile(r"[^0-9+*^()y\s]")
-
-
-def _error(text: str, message: str, index: int) -> ParseError:
-    """A ParseError at the position of token ``index`` of ``text``."""
-    token = next(itertools.islice(_TOKEN.finditer(text), index, None), None)
-    return ParseError(message, token.start() if token else len(text))
 
 
 def _limbs(terms: dict[int, int]) -> int:
@@ -124,9 +116,9 @@ def _parse_loop(text: str) -> DirPoly:
     bad = _BAD_CHAR.search(text)
     if bad:
         raise ParseError(f"unexpected character {bad.group()!r}", bad.start())
-    tokens = (text.replace("+", " + ").replace("*", " * ").replace("^", " ^ ")
-              .replace("y", " y ").replace("(", " ( ").replace(")", " ) ").split())
-    tokens.append("")  # ends the input
+    matches = [*_TOKEN.finditer(text)]
+    tokens = [match.group() for match in matches] + [""]  # "" ends the input
+    starts = [match.start() for match in matches] + [len(text)]
     pairs_left = MAX_TERM_PAIRS + len(text)
     saved = []  # (sum, product, index of its last '*') around each open parenthesis
     total = product = None  # the sum and the product so far; None before their first term
@@ -135,20 +127,21 @@ def _parse_loop(text: str) -> DirPoly:
         token = tokens[i]
         if token == "(":
             if len(saved) == MAX_NESTING:
-                raise _error(text, f"parentheses nested deeper than {MAX_NESTING}", i)
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", starts[i])
             saved.append((total, product, star))
             total = product = None
             i += 1
             continue
         if not token.isdigit():
-            raise _error(text, f"expected a number or '(', got {token!r}" if token else "unexpected end of input", i)
+            raise ParseError(f"expected a number or '(', got {token!r}" if token else "unexpected end of input",
+                             starts[i])
         try:
             n = _natural(token)
         except ValueError as exc:
-            raise _error(text, str(exc), i) from None
+            raise ParseError(str(exc), starts[i]) from None
         if tokens[i + 1] == "^":
             if tokens[i + 2] != "y":
-                raise _error(text, "exponent must be the literal 'y'", i + 2)
+                raise ParseError("exponent must be the literal 'y'", starts[i + 2])
             factor = {n: 1}
             i += 4
         else:
@@ -164,7 +157,7 @@ def _parse_loop(text: str) -> DirPoly:
                     pairs += len(factor) * _limbs(product) + len(product) * _limbs(factor)
                 pairs_left -= pairs
                 if pairs_left < 0:
-                    raise _error(text, f"products expand past {MAX_TERM_PAIRS + len(text)} term pairs", star)
+                    raise ParseError(f"products expand past {MAX_TERM_PAIRS + len(text)} term pairs", starts[star])
                 product = _mul_terms(product, factor)
             if op == "*":
                 star = i - 1
@@ -179,9 +172,9 @@ def _parse_loop(text: str) -> DirPoly:
                 break
             if op != ")" or not saved:
                 if saved:
-                    raise _error(text, "expected ')'", i - 1)
+                    raise ParseError("expected ')'", starts[i - 1])
                 if op:
-                    raise _error(text, f"unexpected trailing input {op!r}", i - 1)
+                    raise ParseError(f"unexpected trailing input {op!r}", starts[i - 1])
                 return DirPoly._wrap(total)
             factor = total
             total, product, star = saved.pop()
@@ -197,6 +190,11 @@ def _natural(text: str, where: str = "", field: str = "") -> int:
         return int(text)
     except ValueError:
         raise ValueError(f"{where}number too long ({max(map(len, (field or text).split('/')))} digits)") from None
+
+
+def _past_cap(n: int) -> bool:
+    """Whether a natural has more than MAX_OUTPUT_DIGITS digits; ``_decimal`` tests it inline, once per number."""
+    return n.bit_length() > _CAP_BITS and n >= 10**MAX_OUTPUT_DIGITS
 
 
 def _decimal(n: int) -> str:

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from .core import DirPoly, LabelledBundle, _adopt, _power_product
 from .homs import _aligned
@@ -52,11 +51,6 @@ class Measures:
     width: float
     entropy: float
     length: float
-
-    @cached_property
-    def _log2_power(self) -> float:
-        """log2 P, the area check's; ``measures`` sets it from the width's own."""
-        return math.log2(self.power_product)
 
 
 @dataclass(frozen=True)
@@ -101,7 +95,7 @@ def measures(d: DirPoly) -> Measures:
     h = _entropy(d._terms.items(), area)
     log_power = math.log2(power)  # P >= 1: its draws are coeff*base, so a base 0 has exponent 0
     return _adopt(Measures, {"area": area, "power_product": power, "width": _width_of_log(area, log_power),
-                             "entropy": h, "length": 2.0**h, "_log2_power": log_power})
+                             "entropy": h, "length": 2.0**h})
 
 
 @dataclass(frozen=True)
@@ -137,7 +131,7 @@ def check_rectangle_area(d: DirPoly, tol: float = DEFAULT_TOL) -> AreaCheck:
     float_error = abs(area - product)
     float_bound = tol * area
     log_area = math.log2(area)
-    log_error = abs(area * m.entropy + m._log2_power - area * log_area)
+    log_error = abs(area * m.entropy + math.log2(m.power_product) - area * log_area)
     log_bound = float_bound * log_area
     return _adopt(AreaCheck, {"measures": m, "product": product, "float_error": float_error,
                               "float_bound": float_bound, "log_error": log_error, "log_bound": log_bound,

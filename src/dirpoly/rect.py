@@ -12,7 +12,7 @@ encoding addition is integer multiplication of the P parts and
 multiplication is an integer power combination, so all rig arithmetic stays
 exact; the only approximation is the one width root ``_width_of_log`` of
 log2 P, which ``RectValue.width`` takes through ``_width``, and ``measures``
-directly for both its widths, keeping log2 P for the area check.
+directly for both its widths.
 
 The encoding quotients out the width of zero-area elements: every (0, W)
 collapses to area 0, P = 1.  No rig operation lets the width of a zero-area

@@ -208,6 +208,35 @@ def test_from_dist_output_file_and_structured(capsys, tmp_path):
     assert read_bundle(str(out_path)).fibres == (("h", 1), ("t", 1))
 
 
+@pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 8_000,
+    reason="needs an int-to-str digit limit below the 8597 digits of the total",
+)
+def test_from_dist_writes_its_file_only_once_the_output_renders(capsys, tmp_path):
+    # N = 2*q1*q2 and the sizes have about 8,600 digits: past the structured
+    # output limit, not the human one.
+    q1, q2 = 10**4298 + 1, 10**4298 + 3
+    csv = write_dist_file(tmp_path / "d.csv", [("a", f"1/{2 * q1}"), ("b", f"{q1 - 1}/{2 * q1}"),
+                                               ("c", f"1/{2 * q2}"), ("d", f"{q2 - 1}/{2 * q2}")])
+    out_path = tmp_path / "out.csv"
+    message = f"an integer of more than {sys.get_int_max_str_digits()} digits is past the structured output limit"
+    for existing in (None, "label,fibre\nkept,1\n"):
+        if existing is not None:
+            out_path.write_text(existing, encoding="utf-8")
+        code, out, err = run(capsys, "from-dist", "--format", "structured", "-o", str(out_path), csv)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": message}
+        if existing is None:
+            assert not out_path.exists()
+        else:
+            assert out_path.read_text(encoding="utf-8") == existing
+    code, out, _ = run(capsys, "from-dist", csv)
+    assert code == 0
+    code, _, _ = run(capsys, "from-dist", "-o", str(out_path), csv)
+    assert code == 0
+    assert out_path.read_text(encoding="utf-8") == "".join(line + "\n" for line in out.splitlines()[:5])
+
+
 def test_to_dist_round_trip(capsys, tmp_path):
     csv = write_dist_file(
         tmp_path / "dist.csv",
@@ -268,6 +297,23 @@ def test_bad_bundle_file_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "to-dist", str(path))
     assert code == 2
     assert "header" in err
+
+
+def test_malformed_rows_exit_2_in_both_formats(capsys, tmp_path):
+    path = tmp_path / "rows.csv"
+    for text, message in (
+        ("label,fibre\na,1,2\n", f"{path}:2: expected 2 comma-separated fields"),
+        ("label,fibre\na\n", f"{path}:2: expected 2 comma-separated fields"),
+        ("label,fibre\na,1\n ,2\n", f"{path}:3: empty label"),
+        ("label,probability\n,1\n", f"{path}:2: empty label"),
+    ):
+        path.write_text(text, encoding="utf-8")
+        command = "to-dist" if text.startswith("label,fibre") else "from-dist"
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n"), text
+        code, out, err = run(capsys, command, "--format", "structured", str(path))
+        assert (code, out) == (2, "") and err.count("\n") == 1, text
+        assert json.loads(err) == {"error": message}, text
 
 
 def test_bad_distribution_file_exits_2(capsys, tmp_path):
@@ -438,7 +484,9 @@ def test_output_limit_holds_with_the_str_limit_off():
     # With no int-to-str limit str() writes any integer; the cap must not rely on it failing.
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    for argv in (["measures", "10000*10^y"], ["eval", "10^y", "100000"]):
+    for argv in (["measures", "10000*10^y"], ["eval", "10^y", "100000"],
+                 ["measures", "--format", "structured", "10000*10^y"],
+                 ["eval", "--format", "structured", "10^y", "100000"]):
         proc = subprocess.run([sys.executable, "-X", "int_max_str_digits=0", "-m", "dirpoly.cli", *argv],
                               env=env, capture_output=True, text=True, timeout=120)
         assert (proc.returncode, proc.stdout) == (2, ""), argv

@@ -99,6 +99,39 @@ def test_hashable():
     assert len({DirPoly({2: 1}), DirPoly({2: 1}), DirPoly({3: 1})}) == 2
 
 
+def test_equality_with_a_negative_int_is_false():
+    d = DirPoly({2: 1})
+    assert not d == -1
+    assert d != -1
+    assert -1 not in [d]
+    assert not DirPoly.zero() == -1
+
+
+def test_a_constant_hashes_as_the_int_it_equals():
+    for d, n in ((DirPoly({1: 3}), 3), (DirPoly.zero(), 0), (DirPoly({1: 10**40}), 10**40)):
+        assert d == n and hash(d) == hash(n)
+    assert len({DirPoly({1: 3}), 3}) == 1
+    assert {DirPoly.zero(): "zero"}[0] == "zero"
+    assert DirPoly({1: 3, 2: 1}) != 3 and DirPoly({0: 3}) != 3
+
+
+def test_bad_operands_raise_type_errors():
+    with pytest.raises(TypeError, match="bases and coefficients must be int"):
+        DirPoly({2: 1.0})
+    with pytest.raises(TypeError, match="bases and coefficients must be int"):
+        DirPoly({"2": 1})
+    with pytest.raises(ValueError, match="cannot embed a negative integer"):
+        DirPoly({2: 1}) + (-1)
+    with pytest.raises(ValueError, match="cannot embed a negative integer"):
+        -1 * DirPoly({2: 1})
+    for op in (operator.add, operator.mul):
+        for other in ("2", 2.0, None):
+            with pytest.raises(TypeError):
+                op(DirPoly({2: 1}), other)
+            with pytest.raises(TypeError):
+                op(other, DirPoly({2: 1}))
+
+
 def test_to_bundle_default_labels_descend_by_base():
     b = DirPoly({4: 1, 1: 4}).to_bundle()
     assert b.fibres == (("x1", 4), ("x2", 1), ("x3", 1), ("x4", 1), ("x5", 1))

@@ -69,6 +69,15 @@ def test_rejects_negatives():
         RectValue(1, -1)
 
 
+def test_operands_other_than_rectangles_raise_type_errors():
+    for op in (operator.add, operator.mul):
+        for other in (2, (2, 4), DirPoly({2: 1})):
+            with pytest.raises(TypeError):
+                op(RectValue(2, 4), other)
+            with pytest.raises(TypeError):
+                op(other, RectValue(2, 4))
+
+
 def test_width_examples():
     assert RectValue(8, 256).width().value == 2.0
     assert RectValue(5, 1).width().value == 1.0
