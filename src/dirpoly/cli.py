@@ -247,11 +247,10 @@ def _cmd_hom_count(args):
 def _cmd_from_dist(args):
     bundle = from_rational_distribution(read_distribution(args.csv))
     poly_text = format_poly(bundle.to_poly())
-    document = {
-        "bundle": [{"label": label, "fibre": size} for label, size in bundle.fibres],
-        "total": bundle.num_draws,
-        "polynomial": poly_text,
-    }
+    document = {"bundle": [{"label": label, "fibre": size} for label, size in bundle.fibres],
+                "total": bundle.num_draws, "polynomial": poly_text}
+    if args.format == "structured" and not args.output:
+        return document, None  # nothing prints the bundle lines
     bundle_lines = ["label,fibre", *(f"{label},{_human(size)}" for label, size in bundle.fibres)]
     total = _human(bundle.num_draws)
     if args.output:
@@ -280,6 +279,8 @@ def _arg(*flags, **options):
 
 
 _TOL = _arg("--tol", type=float, default=DEFAULT_TOL)
+_FORMAT = _arg("--format", choices=["human", "structured"], default="human",
+               help="output style (structured = one JSON document)")
 
 # Subcommand name -> (handler, help, arguments after --format).
 _COMMANDS = {
@@ -304,27 +305,24 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dirpoly",
-        description="Exact Dirichlet polynomial calculator: rig arithmetic,"
-        " entropy/length/width measures, hom counts, and distributions.",
-    )
-    # One shared --format action: add_argument is costly, and runs on every call.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=["human", "structured"], default="human",
-                        help="output style (structured = one JSON document)")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, arguments) in _COMMANDS.items():
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        for flags, options in arguments:
+def _build_parser(name: str | None = None) -> argparse.ArgumentParser:
+    """The parser of all nine commands, or of the one command ``name`` with a usage line naming all nine."""
+    parser = argparse.ArgumentParser(prog="dirpoly", description="Exact Dirichlet polynomial calculator: rig arithmetic,"
+                                     " entropy/length/width measures, hom counts, and distributions.")
+    # No metavar on the full parser: it would rename "command" in the "arguments are required" error.
+    metavar = "{" + ",".join(_COMMANDS) + "}" if name else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for command in [name] if name else _COMMANDS:
+        p = sub.add_parser(command, help=_COMMANDS[command][1])
+        for flags, options in [_FORMAT, *_COMMANDS[command][2]]:
             p.add_argument(*flags, **options)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    try:
-        args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    try:  # a command named first needs only its own parser
+        args = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 for --help and 2 for usage errors; keep the contract.
         return 0 if exc.code in (0, None) else 2

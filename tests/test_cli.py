@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour: output, file formats, exit codes."""
 
+import argparse
 import io
 import json
 import math
@@ -206,6 +207,21 @@ def test_from_dist_output_file_and_structured(capsys, tmp_path):
         "polynomial": "2",
     }
     assert read_bundle(str(out_path)).fibres == (("h", 1), ("t", 1))
+
+
+def test_structured_from_dist_without_a_file_builds_no_human_lines(capsys, tmp_path, monkeypatch):
+    def not_called(*args, **kwargs):
+        raise AssertionError("built human text that nothing prints")
+
+    csv = write_dist_file(tmp_path / "dist.csv", [("h", "1/3"), ("t", "2/3")])
+    monkeypatch.setattr(cli, "_human", not_called)
+    code, out, err = run(capsys, "from-dist", "--format", "structured", csv)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "bundle": [{"label": "h", "fibre": 1}, {"label": "t", "fibre": 2}],
+        "total": 3,
+        "polynomial": "2^y + 1",
+    }
 
 
 @pytest.mark.skipif(
@@ -796,3 +812,36 @@ def test_main_keeps_the_exit_contract(tmp_path_factory, data):
         assert out.getvalue() == "" and err.getvalue().count("\n") == 1, argv
     else:
         assert err.getvalue() == "", argv
+
+
+# Each command with placeholder values for its positional arguments.
+_POSITIONALS = {"eval": ["4^y", "2"], "measures": ["2^y"], "check": ["2^y"], "cross": ["d.csv", "m.csv"],
+                "kl": ["d.csv", "m.csv"], "hom-count": ["2^y", "3^y"], "from-dist": ["p.csv"],
+                "to-dist": ["b.csv"], "arith": ["add", "1", "2"]}
+
+
+def test_one_command_parser_prints_what_the_full_parser_prints(capsys):
+    assert list(_POSITIONALS) == list(cli._COMMANDS)
+    cases = [["arith", "pow", "1", "2"], [], ["--help"], ["nope", "1"], ["--format", "structured", "eval", "1", "2"]]
+    for name, positionals in _POSITIONALS.items():
+        cases += [[name, "--help"], [name], [name, *positionals, "extra"], [name, "--format", "xml", *positionals]]
+    for argv in cases:
+        with pytest.raises(SystemExit) as exc:
+            cli._build_parser().parse_args(argv)
+        captured = capsys.readouterr()
+        full = (0 if exc.value.code in (0, None) else 2, captured.out, captured.err)
+        assert full[1] or full[2], argv
+        assert run(capsys, *argv) == full, argv
+        assert run(capsys, *argv) == full, argv  # the same again in one process
+
+
+def test_a_named_command_builds_only_its_own_parser(capsys, monkeypatch):
+    calls = []
+    add_parser = argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                        lambda self, *args, **kwargs: calls.append(args[0]) or add_parser(self, *args, **kwargs))
+    assert run(capsys, "eval", "4^y", "2")[:2] == (0, "16\n")
+    assert calls == ["eval"]
+    calls.clear()
+    assert run(capsys, "--help")[0] == 0
+    assert calls == list(cli._COMMANDS)
