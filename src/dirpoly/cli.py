@@ -27,6 +27,7 @@ import math
 import re
 import sys
 
+from . import __version__
 from .core import LabelledBundle, _power_product
 from .distributions import (
     RationalDistribution,
@@ -311,6 +312,8 @@ def _build_parser(name: str | None = None) -> argparse.ArgumentParser:
                                      " entropy/length/width measures, hom counts, and distributions.")
     # No metavar on the full parser: it would rename "command" in the "arguments are required" error.
     metavar = "{" + ",".join(_COMMANDS) + "}" if name else None
+    if not name:  # out of the usage line, which the one-command parser prints too
+        parser.add_argument("--version", action="version", version=f"dirpoly {__version__}", help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for command in [name] if name else _COMMANDS:
         p = sub.add_parser(command, help=_COMMANDS[command][1])

@@ -35,28 +35,18 @@ results, so it runs only past a size cutoff over the original bases,
 
 Tuples built on a per-call path come from a list (a list comprehension, a
 list, or ``*`` over a list), never from a generator, a ``zip`` or ``*``
-over a generator.  CPython sizes a tuple of unknown length at 10 slots and
-shrinks it; once freed it joins the free list of its true size, which such
-tuples never draw from, so each call moves memory from the 10-slot list
-into the lists of sizes 1 to 19 (up to 2,000 tuples each), and only a full
-garbage collection gives it back.  CPython 3.11 also keeps every freed
-20-item tuple on a free list that it never draws from, however the tuple was
-built, so 20-outcome bundles hold up to 2,000 of them (about 0.4 MB) until
-a full collection; no construction here avoids that.
+over a generator, so that CPython's tuple free lists are reused (README,
+Library, says why).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
 #: Size of a power product, the sum of exp*bit_length(base) over its powers,
-#: from which they go to ``_power_chain``.  On P = prod n**(a*n) the chain's
-#: median time matched the powers-and-tree path's near 4,500 bits, on 3 to 34
-#: small bases and on 2 to 4 large ones (40 polynomials per size, Python
-#: 3.11); from 6,000 bits it was faster on at least three in four of them.
+#: from which they go to ``_power_chain`` (README gives its measurement).
 CHAIN_MIN_BITS = 6_000
 
 
@@ -228,9 +218,7 @@ def _power_product(pairs: list[tuple[int, int]]) -> int:
     before any power is taken, when a zero base has a positive exponent.
     Past ``CHAIN_MIN_BITS`` all powers of bases >= 2 go to ``_power_chain``;
     the other pairs are factors 1.  Those powers are picked out only past
-    the cutoff: collected in the first loop, they cost about 20 ns more per
-    pair on the small products that stay below it (30 pairs: 4.7 against
-    4.0 us, Python 3.11)."""
+    the cutoff, which is cheaper below it (README gives the timing)."""
     bits = 0
     for exp, base in pairs:
         if exp:
@@ -244,7 +232,7 @@ def _power_product(pairs: list[tuple[int, int]]) -> int:
 
 
 def _adopt(cls, fields: dict):
-    """``cls(**fields)`` of a frozen dataclass, given every field, already known
+    """``cls(**fields)`` of a ``_Record``, given every field, already known
     to be valid, and any cached or carried value already known: set at once,
     not by one object.__setattr__ call per field."""
     obj = object.__new__(cls)
@@ -262,8 +250,68 @@ def _coerce(value: object) -> DirPoly:
     return NotImplemented
 
 
-@dataclass(frozen=True)
-class LabelledBundle:
+class _FromDataclasses:
+    """``__dataclass_fields__``, ``__dataclass_params__`` or ``__signature__`` of a record class, made
+    by ``dataclasses.make_dataclass`` on first use, for a caller that imported ``dataclasses`` or ``inspect``."""
+
+    def __set_name__(self, owner, name: str):
+        self.name = name
+
+    def __get__(self, obj, cls):
+        if cls is _Record:  # not a record class itself: it keeps its descriptors for its subclasses
+            raise AttributeError(self.name)
+        import dataclasses, inspect
+        types = {}
+        for base in reversed(cls.__mro__):
+            types.update(getattr(base, "__annotations__", {}))
+        made = dataclasses.make_dataclass(cls.__name__, [(name, types[name]) for name in cls._fields], frozen=True)
+        cls.__dataclass_fields__, cls.__dataclass_params__ = made.__dataclass_fields__, made.__dataclass_params__
+        cls.__signature__ = inspect.signature(made)
+        return getattr(cls, self.name)
+
+
+class _Record:
+    """What ``@dataclass(frozen=True)`` makes of a class, without importing ``dataclasses``
+    (and ``inspect``, ``ast``, ``dis``) at start-up: its fields, its bases' then its own annotations,
+    are taken by position or keyword, compared and hashed as a tuple within one class and
+    printed as ``Name(field=value, ...)``; setting or deleting an attribute raises
+    AttributeError.  ``dataclasses.replace``, ``fields``, ``astuple`` and ``is_dataclass`` take it."""
+
+    __dataclass_fields__ = _FromDataclasses()
+    __dataclass_params__ = _FromDataclasses()
+    __signature__ = _FromDataclasses()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # From Python 3.10 a class's __annotations__ are only its own.
+        cls._fields = cls.__match_args__ = tuple({**dict.fromkeys(getattr(cls, "_fields", ())), **cls.__annotations__})
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        values = dict(zip(names, args), **kwargs)
+        if len(args) + len(kwargs) != len(names) or values.keys() != {*names}:
+            raise TypeError(f"{type(self).__name__}() takes each of {', '.join(names)} once, by position or keyword")
+        object.__setattr__(self, "__dict__", values)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join([f'{n}={getattr(self, n)!r}' for n in self._fields])})"
+
+    def __setattr__(self, name: str, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class LabelledBundle(_Record):
     """An ordered list of (outcome label, fibre size) with distinct labels.
 
     Forgetting labels and order leaves a multiset of fibre sizes, which is
@@ -274,10 +322,8 @@ class LabelledBundle:
     #: The distribution the bundle realises; only ``from_rational_distribution`` sets it.
     _distribution = None
 
-    def __post_init__(self):
-        fibres = tuple([(label, size) for label, size in self.fibres])
-        fields = self.__dict__  # written directly: cheaper than object.__setattr__ per name
-        fields["fibres"] = fibres
+    def __init__(self, fibres: Iterable[tuple[str, int]]):
+        fibres = tuple([(label, size) for label, size in fibres])
         seen = set()
         total = 0
         for label, size in fibres:
@@ -289,7 +335,7 @@ class LabelledBundle:
                 raise ValueError(f"duplicate outcome label {label!r}")
             seen.add(label)
             total += size
-        fields["num_draws"] = total
+        object.__setattr__(self, "__dict__", {"fibres": fibres, "num_draws": total})
 
     @classmethod
     def from_sizes(cls, sizes: Iterable[int], labels: Iterable[str] | None = None) -> LabelledBundle:

@@ -25,11 +25,10 @@ the functions that make Fractions, to keep it out of the CLI's start-up.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
-from .core import LabelledBundle, _adopt
+from .core import LabelledBundle, _adopt, _Record
 from .expr import MAX_OUTPUT_DIGITS, _ratio
 
 if TYPE_CHECKING:
@@ -53,18 +52,15 @@ def _shown(p: Fraction) -> str:
         return f"a fraction with a part of more than {MAX_OUTPUT_DIGITS} digits"
 
 
-@dataclass(frozen=True)
-class RationalDistribution:
+class RationalDistribution(_Record):
     """Ordered (label, probability) pairs with exact probabilities summing to 1."""
 
     entries: tuple[tuple[str, Fraction], ...]
 
-    def __post_init__(self):
+    def __init__(self, entries: Iterable[tuple[str, Fraction | int]]):
         import fractions
         fraction = fractions.Fraction
-        entries = tuple([(label, p if isinstance(p, fraction) else fraction(p)) for label, p in self.entries])
-        fields = self.__dict__  # written directly, as in LabelledBundle
-        fields["entries"] = entries
+        entries = tuple([(label, p if isinstance(p, fraction) else fraction(p)) for label, p in entries])
         seen = set()
         nums, dens = [], []
         for label, p in entries:
@@ -86,7 +82,7 @@ class RationalDistribution:
         total = sum(num * (n // den) for num, den in zip(nums, dens))
         if total != n:
             raise ValueError(f"probabilities must sum to 1 exactly, got {_shown(fraction(total, n))}")
-        fields["_lcm"] = n
+        object.__setattr__(self, "__dict__", {"entries": entries, "_lcm": n})
 
     @cached_property
     def _lcm(self) -> int:

@@ -18,9 +18,8 @@ the independent check for it, guarded to small sizes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .core import DirPoly, LabelledBundle, _power_product
+from .core import DirPoly, LabelledBundle, _power_product, _Record
 
 #: Per-side draw limit for the brute-force enumerator.
 ENUMERATION_MAX_DRAWS = 8
@@ -60,8 +59,7 @@ def hom_count_over_base(bd: LabelledBundle, be: LabelledBundle) -> int:
     return _power_product(_aligned(bd, be))
 
 
-@dataclass(frozen=True)
-class BundleMorphism:
+class BundleMorphism(_Record):
     """One commuting square between two labelled bundles.
 
     ``base_map`` pairs each source label with its target label, in source

@@ -31,9 +31,8 @@ width root, ``rect._width_of_log``, gives both widths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .core import DirPoly, LabelledBundle, _adopt, _power_product
+from .core import DirPoly, LabelledBundle, _adopt, _power_product, _Record
 from .homs import _aligned
 from .rect import _width_of_log, rect_of
 
@@ -42,8 +41,7 @@ DEFAULT_TOL = 1e-9
 _LN2 = math.log(2)
 
 
-@dataclass(frozen=True)
-class Measures:
+class Measures(_Record):
     """Area, power product, width, entropy (bits), and length of one polynomial."""
 
     area: int
@@ -53,8 +51,7 @@ class Measures:
     length: float
 
 
-@dataclass(frozen=True)
-class CrossMeasures:
+class CrossMeasures(_Record):
     """Cross entropy/area/width/length and KL divergence; +inf is math.inf."""
 
     cross_entropy: float
@@ -98,8 +95,7 @@ def measures(d: DirPoly) -> Measures:
                              "entropy": h, "length": 2.0**h})
 
 
-@dataclass(frozen=True)
-class AreaCheck:
+class AreaCheck(_Record):
     """Result of the rectangle-area verification for one polynomial.
 
     ``float_error`` is |A - L*W| against the bound tol*A; ``log_error`` is
@@ -186,8 +182,7 @@ def _cross_measures(pairs: list[tuple[int, int]], d_total: int, e_total: int) ->
                                   "cross_length": 2.0**h, "kl": kl})
 
 
-@dataclass(frozen=True)
-class CrossAreaCheck:
+class CrossAreaCheck(_Record):
     """Result of the cross rectangle-area verification.
 
     ``status`` is "pass", "fail", or "degenerate"; the latter means some

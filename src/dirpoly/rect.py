@@ -28,30 +28,27 @@ product P = prod n**(a*n) over the terms a*n^y goes through
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .core import CHAIN_MIN_BITS, DirPoly, _adopt, _power_product  # noqa: F401 (CHAIN_MIN_BITS re-exported)
+from .core import CHAIN_MIN_BITS, DirPoly, _adopt, _power_product, _Record  # noqa: F401 (CHAIN_MIN_BITS re-exported)
 
 #: Guaranteed relative error bound of the float width (conservative; the
 #: log2-based extraction is accurate to a few ulps at any realistic size).
 WIDTH_REL_ERROR = 1e-12
 
 
-@dataclass(frozen=True)
-class RectValue:
+class RectValue(_Record):
     """Exact rectangle (area, power_product) with power_product = W**area."""
 
     area: int
     power_product: int
 
-    def __post_init__(self):
-        if not isinstance(self.area, int) or self.area < 0:
+    def __init__(self, area: int, power_product: int):
+        if not isinstance(area, int) or area < 0:
             raise ValueError("area must be a natural number")
-        if not isinstance(self.power_product, int) or self.power_product < 0:
+        if not isinstance(power_product, int) or power_product < 0:
             raise ValueError("power product must be a natural number")
-        if self.area == 0 and self.power_product != 1:
-            # Zero-area elements form a single class; 0**0 == 1.
-            object.__setattr__(self, "power_product", 1)
+        # Zero-area elements form a single class; 0**0 == 1.
+        object.__setattr__(self, "__dict__", {"area": area, "power_product": power_product if area else 1})
 
     def __add__(self, other: RectValue) -> RectValue:
         if not isinstance(other, RectValue):
@@ -97,8 +94,7 @@ ZERO = RectValue(0, 1)
 ONE = RectValue(1, 1)
 
 
-@dataclass(frozen=True)
-class WidthApprox:
+class WidthApprox(_Record):
     """A float width together with its guaranteed relative error bound."""
 
     value: float

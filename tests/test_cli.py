@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+import dirpoly
 from dirpoly import DirPoly, LabelledBundle, cross_measures, measures
 from dirpoly import cli, homs
 from dirpoly.cli import MAX_OUTPUT_DIGITS, main, read_bundle, read_distribution
@@ -845,3 +847,13 @@ def test_a_named_command_builds_only_its_own_parser(capsys, monkeypatch):
     calls.clear()
     assert run(capsys, "--help")[0] == 0
     assert calls == list(cli._COMMANDS)
+
+
+def test_version_prints_the_package_version(capsys):
+    assert run(capsys, "--version") == (0, f"dirpoly {dirpoly.__version__}\n", "")
+    assert run(capsys, "--version") == (0, "dirpoly 0.1.0\n", "")
+
+
+def test_the_package_version_is_the_project_version():
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r'^version = "([^"]+)"$', text, re.MULTILINE)[1] == dirpoly.__version__
