@@ -62,14 +62,17 @@ def _data_rows(path: str, column: str, value_re: re.Pattern, value_rule: str, co
     each value ``convert`` applied to the integers of its text ``p`` or ``p/q``."""
     rows = []
     with open(path, encoding="utf-8-sig") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = [field.strip() for field in line.split(",")]
-            if len(fields) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 2 comma-separated fields")
-            rows.append((fields[0], fields[1], lineno))
+        try:
+            for lineno, line in enumerate(f, start=1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                fields = [field.strip() for field in line.split(",")]
+                if len(fields) != 2:
+                    raise ValueError(f"{path}:{lineno}: expected 2 comma-separated fields")
+                rows.append((fields[0], fields[1], lineno))
+        except UnicodeDecodeError:  # its text names a byte and a position, not the file
+            raise ValueError(f"{path}: not UTF-8 text") from None
     if not rows or rows[0][:2] != ("label", column):
         raise ValueError(f"{path}: first row must be the header 'label,{column}'")
     values = []

@@ -9,14 +9,16 @@ and raises at the first bad row.  Before any lcm or gcd, it is refused
 once a lower bound on the digits of its distinct denominators, taken from
 their bit lengths, passes MAX_DENOMINATOR_DIGITS: the lcm and the
 divisions by it take time quadratic in those digits.  One lcm N then
-gives the integer numerators num * (N // den), which must sum to N; N is
-kept, so ``from_rational_distribution`` takes no second lcm.  The bundle
-it builds carries the distribution, which ``to_distribution`` returns with
-no work; any other bundle starts without one and costs one gcd per fibre,
-to reduce size / draw count.  The two conversions adopt what they build,
-with its draw count, without checking it again: a valid distribution
-realises as a valid bundle (distinct string labels, natural sizes), and a
-bundle with draws has a valid distribution (exact fractions summing to 1).
+gives the integer numerators num * (N // den), which must sum to N.  N is
+kept and, when it fits in 64 bits, so are those counts as the realised
+fibres, which ``from_rational_distribution`` adopts with no second pass; a
+longer N is summed one count at a time.  The bundle it builds carries the
+distribution, which ``to_distribution`` returns with no work; any other
+bundle starts without one and costs one gcd per fibre, to reduce size /
+draw count.  The two conversions adopt what they build, with its draw
+count, without checking it again: a valid distribution realises as a valid
+bundle (distinct string labels, natural sizes), and a bundle with draws
+has a valid distribution (exact fractions summing to 1).
 
 ``fractions`` (and with it ``decimal`` and ``numbers``) is imported only by
 the functions that make Fractions, to keep it out of the CLI's start-up.
@@ -56,6 +58,8 @@ class RationalDistribution(_Record):
     """Ordered (label, probability) pairs with exact probabilities summing to 1."""
 
     entries: tuple[tuple[str, Fraction], ...]
+    #: The realised fibres, kept by the check when N fits in 64 bits.
+    _fibres = None
 
     def __init__(self, entries: Iterable[tuple[str, Fraction | int]]):
         import fractions
@@ -79,10 +83,15 @@ class RationalDistribution(_Record):
             if sum(map(int.bit_length, distinct)) - len(distinct) > _DENOMINATOR_BITS:
                 raise ValueError(f"the distinct denominators have more than {MAX_DENOMINATOR_DIGITS} digits in all")
         n = math.lcm(*dens)
-        total = sum(num * (n // den) for num, den in zip(nums, dens))
+        if n >> 64:  # past 64 bits the counts could far outweigh the entries: keep none
+            fibres = None
+            total = sum(num * (n // den) for num, den in zip(nums, dens))
+        else:
+            fibres = tuple([(label, num * (n // den)) for (label, _), num, den in zip(entries, nums, dens)])
+            total = sum([size for _, size in fibres])
         if total != n:
             raise ValueError(f"probabilities must sum to 1 exactly, got {_shown(fraction(total, n))}")
-        object.__setattr__(self, "__dict__", {"entries": entries, "_lcm": n})
+        object.__setattr__(self, "__dict__", {"entries": entries, "_lcm": n, "_fibres": fibres})
 
     @cached_property
     def _lcm(self) -> int:
@@ -100,9 +109,8 @@ def from_rational_distribution(dist: RationalDistribution) -> LabelledBundle:
     reduced denominators, and the exact integer num * (N // den) of them over
     the outcome of probability num/den."""
     n = dist._lcm
-    return _adopt(LabelledBundle, {"fibres": tuple([(label, p.numerator * (n // p.denominator))
-                                                   for label, p in dist.entries]),
-                                   "num_draws": n, "_distribution": dist})
+    fibres = dist._fibres or tuple([(label, p.numerator * (n // p.denominator)) for label, p in dist.entries])
+    return _adopt(LabelledBundle, {"fibres": fibres, "num_draws": n, "_distribution": dist})
 
 
 def to_distribution(bundle: LabelledBundle) -> RationalDistribution:

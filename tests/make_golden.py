@@ -1,0 +1,151 @@
+"""Write tests/data/golden.json, the corpus that tests/test_golden.py replays.
+
+    PYTHONPATH=src python tests/make_golden.py
+
+Run it from the repository root on the commit whose results the corpus
+should pin; dirpoly is imported from ``PYTHONPATH``.  The inputs are the
+benchmark's own pools (``bench/``), built as ``bench/run.py`` builds them
+for seeds 1-3, so that tier-1 replays them without importing ``bench/``:
+
+- ``cross``: every cross-kl item through the library: the two bundles,
+  realised from rational distributions where the item gives them, their
+  cross check and the data bundle's distribution.
+- ``cli``: every cli-mix request whose command is ``from-dist``,
+  ``to-dist``, ``cross`` or ``kl``, through ``cli.main``: argv, input file
+  texts, exit code, stderr, stdout with each float replaced by
+  ``FLOAT_MARK`` (hashed when long) and the floats' texts with their bounds,
+  and any file written with ``-o``.  The directory of the files is written
+  as ``DIR_MARK``.
+
+A later change may add sections (such as ``parse``); one that alters output
+on purpose writes the file again and names the cases that changed.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import random
+import re
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+
+import climix  # noqa: E402
+import crosskl  # noqa: E402
+
+import dirpoly  # noqa: E402
+from dirpoly.cli import main  # noqa: E402
+
+SEEDS = (1, 2, 3)
+COMMANDS = ("from-dist", "to-dist", "cross", "kl")
+FORMAT = 1
+DIR_MARK = "{dir}"
+FLOAT_MARK = "<float>"
+#: A float as the CLI prints it: a decimal point or an exponent.  An integral
+#: float printed without either (``.12g`` of 2.0) stays in the text, exactly.
+FLOAT_RE = re.compile(r"(?<![\w.])-?(?:\d+\.\d+(?:e[-+]\d+)?|\d+e[-+]\d+)(?![\w.])")
+#: Longer stdout templates are stored as their sha256.
+HASH_OVER = 600
+OUT = ROOT / "tests" / "data" / "golden.json"
+
+
+def split_floats(text: str) -> tuple[str, list[str]]:
+    """The text with each float replaced by FLOAT_MARK, and the floats' texts."""
+    return FLOAT_RE.sub(FLOAT_MARK, text), FLOAT_RE.findall(text)
+
+
+def stdout_key(template: str) -> dict:
+    if len(template) > HASH_OVER:
+        return {"stdout_sha256": hashlib.sha256(template.encode()).hexdigest()}
+    return {"stdout": template}
+
+
+def ratio(p) -> str:
+    return f"{p.numerator}/{p.denominator}"
+
+
+def cross_cases() -> list[dict]:
+    cases, workload = [], crosskl.Workload()
+    for seed in SEEDS:
+        items = workload.generate(dirpoly, random.Random(f"{seed}:inputs"), None)
+        for i, item in enumerate(items):
+            as_dist, d_in, e_in = item.inputs
+            value = ratio if as_dist else int
+            bd, check, dist = workload.call(dirpoly, item.inputs)
+            be = (dirpoly.from_rational_distribution(dirpoly.RationalDistribution(e_in)) if as_dist
+                  else dirpoly.LabelledBundle(e_in))
+            cm = check.cross
+            cases.append({
+                "case": f"cross-kl seed {seed} item {i}",
+                "as_dist": as_dist,
+                "data": [[label, value(v)] for label, v in d_in],
+                "model": [[label, value(v)] for label, v in e_in],
+                "data_sizes": list(bd.sizes),
+                "model_sizes": list(be.sizes),
+                "num_draws": [bd.num_draws, be.num_draws],
+                "distribution": [ratio(p) for p in dist.probabilities],
+                "status": check.status,
+                "cross_area": cm.cross_area,
+                "floats": {name: repr(getattr(cm, name))
+                           for name in ("cross_entropy", "cross_width", "cross_length", "kl")},
+            })
+    return cases
+
+
+def cli_cases() -> list[dict]:
+    cases = []
+    for seed in SEEDS:
+        with tempfile.TemporaryDirectory() as tmp:
+            workdir = Path(tmp)
+            items = climix.Workload().generate(dirpoly, random.Random(f"{seed}:inputs"), workdir)
+            texts = {path.name: path.read_text(encoding="utf-8") for path in workdir.iterdir()}
+            for i, item in enumerate(items):
+                argv = item.inputs
+                if argv[0] not in COMMANDS:
+                    continue
+                argv = [arg.replace(str(workdir), DIR_MARK) for arg in argv]
+                names = [arg[len(DIR_MARK) + 1:] for arg in argv if arg.startswith(DIR_MARK)]
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = main(item.inputs)
+                template, floats = split_floats(out.getvalue().replace(str(workdir), DIR_MARK))
+                case = {
+                    "case": f"cli-mix seed {seed} item {i}",
+                    "argv": argv,
+                    "files": {name: texts[name] for name in names if name in texts},
+                    "exit": code,
+                    "stderr": err.getvalue().replace(str(workdir), DIR_MARK),
+                    **stdout_key(template),
+                    "floats": [[text, "DEFAULT_TOL"] for text in floats],
+                }
+                written = [name for name in names if name not in texts and (workdir / name).exists()]
+                if written:
+                    case["written"] = {name: (workdir / name).read_text(encoding="utf-8") for name in written}
+                cases.append(case)
+    return cases
+
+
+def main_() -> None:
+    corpus = {
+        "format": FORMAT,
+        "written_by": "tests/make_golden.py",
+        "dir_mark": DIR_MARK,
+        "float_mark": FLOAT_MARK,
+        "float_pattern": FLOAT_RE.pattern,
+        "cross": cross_cases(),
+        "cli": cli_cases(),
+    }
+    OUT.parent.mkdir(exist_ok=True)
+    OUT.write_text(json.dumps(corpus, separators=(",", ":")) + "\n", encoding="utf-8")
+    print(f"{OUT}: {len(corpus['cross'])} cross cases, {len(corpus['cli'])} cli cases,"
+          f" {OUT.stat().st_size} bytes")
+
+
+if __name__ == "__main__":
+    main_()

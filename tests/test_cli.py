@@ -370,6 +370,24 @@ def test_files_starting_with_a_utf8_bom(capsys, tmp_path):
     assert out.splitlines()[:3] == ["label,fibre", "h,1", "t,2"]
 
 
+@pytest.mark.parametrize("position", [0, 1])
+def test_a_file_that_is_not_utf8_is_named_in_cross(capsys, tmp_path, position):
+    good = write_bundle_file(tmp_path / "b.csv", [("a", 1), ("b", 2)])
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"label,fibre\na,1\n\xff,2\n")
+    files = [good, good]
+    files[position] = str(bad)
+    assert run(capsys, "cross", *files) == (2, "", f"error: {bad}: not UTF-8 text\n")
+    assert run(capsys, "cross", "--format", "structured", *files) == (
+        2, "", json.dumps({"error": f"{bad}: not UTF-8 text"}) + "\n")
+
+
+def test_a_file_that_is_not_utf8_is_named_in_from_dist(capsys, tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"label,probability\nh,1/3\nt,2/3\n\xc3(\n")
+    assert run(capsys, "from-dist", str(bad)) == (2, "", f"error: {bad}: not UTF-8 text\n")
+
+
 def test_usage_errors_exit_2(capsys):
     assert run(capsys, "no-such-command")[0] == 2
     assert run(capsys)[0] == 2

@@ -299,6 +299,48 @@ def test_only_the_realised_bundle_carries_its_distribution():
     assert to_distribution(realised).entries == (("a", F(1, 3)), ("b", F(2, 3)))
 
 
+class CountedFraction(F):
+    """A Fraction that counts the reads of its numerator and denominator."""
+
+    reads = 0
+
+    @property
+    def numerator(self):
+        CountedFraction.reads += 1
+        return super().numerator
+
+    @property
+    def denominator(self):
+        CountedFraction.reads += 1
+        return super().denominator
+
+
+def realised_fibres(entries) -> tuple[tuple, int]:
+    """The fibres realising a distribution of CountedFractions, and the reads that took."""
+    d = RationalDistribution(entries)
+    assert all(kept is given for (_, kept), (_, given) in zip(d.entries, entries))
+    CountedFraction.reads = 0
+    return from_rational_distribution(d).fibres, CountedFraction.reads
+
+
+def test_a_checked_distribution_is_realised_without_reading_its_fractions():
+    entries = [("a", CountedFraction(1, 6)), ("b", CountedFraction(0)), ("c", CountedFraction(5, 6))]
+    assert realised_fibres(entries) == ((("a", 1), ("b", 0), ("c", 5)), 0)
+
+
+def test_the_realised_fibres_agree_on_both_sides_of_the_64_bit_switch():
+    q = 2**64 - 1  # odd: 3 * 5 * 17 * 257 * 641 * 65537 * 6700417
+    below = [("a", CountedFraction(1, 3)), ("b", CountedFraction(1, q)), ("c", CountedFraction(2 * q // 3 - 1, q))]
+    above = [("a", CountedFraction(1, 2)), ("b", CountedFraction(1, q)), ("c", CountedFraction(q - 2, 2 * q))]
+    # N = q: the check keeps the fibres.  N = 2q, past 64 bits: they are realised from the entries.
+    assert realised_fibres(below) == ((("a", q // 3), ("b", 1), ("c", 2 * q // 3 - 1)), 0)
+    assert realised_fibres(above)[0] == (("a", q), ("b", 2), ("c", q - 2))
+    for entries in (below, above):
+        fibres = from_rational_distribution(RationalDistribution(entries)).fibres
+        adopted = to_distribution(LabelledBundle(fibres))  # keeps no fibres
+        assert from_rational_distribution(adopted).fibres == fibres
+
+
 @given(nonempty_bundles)
 def test_distribution_equals_the_checked_one(b):
     d = to_distribution(b)

@@ -11,6 +11,21 @@ about x16.  Literal length has no family: below the int/str limit ``int()``
 itself is quadratic.
 The bound is x8, the geometric mean of the two: a factor 2 of room for
 noise on either side.  A bounded family instead exits 2 at both sizes.
+
+Three families are quadratic by their cost model, and their bound is x32,
+the geometric mean of a quadratic x16 and a cubic x64:
+- ``eval`` along the exponent n: b**n has n * log2(b) bits.  The power takes
+  Karatsuba multiplications (x4**1.58, about x9), and printing it is
+  quadratic in its digits (``str`` of an int, and ``_decimal``'s 512-digit
+  pieces past the int/str limit): x16.
+- ``hom-count`` along the exponent m of its source's term m^y and along
+  the term's coefficient a: the count e(m)**a has about a * m * log2(b)
+  bits, b the target's largest base, so both are the same power and the
+  same printing: x16.
+- ``arith mul`` along the term count k of each factor: k * k term pairs,
+  each added into the product's terms and rendered by ``format_poly``:
+  x16, and the canonical form's sort of up to k * k terms adds a log
+  factor (log(16 k^2) / log(k^2), x1.4 at k = 32).
 """
 
 from __future__ import annotations
@@ -24,6 +39,7 @@ from dirpoly.cli import main
 
 K = 1000
 LINEAR_BOUND = 8.0  # sqrt(4 * 16): between a linear x4 and a quadratic x16
+QUADRATIC_BOUND = 32.0  # sqrt(16 * 64): between a quadratic x16 and a cubic x64
 
 
 def timed(argv: list[str]) -> tuple[int, float]:
@@ -104,6 +120,37 @@ def test_measures_is_linear_in_nesting():
         assert code == 0
         times.append(seconds)
     assert times[1] / times[0] < LINEAR_BOUND
+
+
+def size_ratio(argv_of, k: int) -> float:
+    """Time of ``main(argv_of(4k))`` over that of ``main(argv_of(k))``, both exiting 0."""
+    times = []
+    for size in (k, 4 * k):
+        code, seconds = timed(argv_of(size))
+        assert code == 0
+        times.append(seconds)
+    return times[1] / times[0]
+
+
+def test_eval_is_quadratic_in_the_exponent():
+    assert size_ratio(lambda n: ["eval", "3^y + 2^y + 5", str(n)], 12_000) < QUADRATIC_BOUND
+
+
+def test_hom_count_is_quadratic_in_the_exponent_of_its_source():
+    assert size_ratio(lambda m: ["hom-count", f"{m}^y", "3^y + 1"], 12_000) < QUADRATIC_BOUND
+
+
+def test_hom_count_is_quadratic_in_the_coefficient_of_its_source():
+    assert size_ratio(lambda a: ["hom-count", f"{a}*2^y", "3^y + 1"], 12_000) < QUADRATIC_BOUND
+
+
+def test_arith_mul_is_quadratic_in_terms():
+    def argv(terms):
+        rng = random.Random(terms)
+        a, b = (" + ".join(f"{rng.randint(1, 99)}*{base}^y" for base in rng.sample(range(2, 10**6), terms))
+                for _ in range(2))
+        return ["arith", "mul", a, b]
+    assert size_ratio(argv, 32) < QUADRATIC_BOUND
 
 
 def test_from_dist_on_long_denominators_is_bounded(tmp_path):
