@@ -75,10 +75,13 @@ def _data_rows(path: str, column: str, value_re: re.Pattern, value_rule: str, co
             raise ValueError(f"{path}: not UTF-8 text") from None
     if not rows or rows[0][:2] != ("label", column):
         raise ValueError(f"{path}: first row must be the header 'label,{column}'")
-    values = []
+    values, seen = [], set()
     for label, text, lineno in rows[1:]:
         if not label:
             raise ValueError(f"{path}:{lineno}: empty label")
+        if label in seen:  # the constructors would name the label, not the file and line
+            raise ValueError(f"{path}:{lineno}: duplicate outcome label {label!r}")
+        seen.add(label)
         if not value_re.fullmatch(text):
             raise ValueError(f"{path}:{lineno}: {value_rule}, got {text!r}")
         where = f"{path}:{lineno}: "
@@ -150,7 +153,7 @@ def _render(document: dict, human, structured: bool) -> str:
                 raise ValueError
             return json.dumps(document) + "\n"
         except ValueError:
-            limit = min(sys.get_int_max_str_digits() or MAX_OUTPUT_DIGITS, MAX_OUTPUT_DIGITS)
+            limit = min(getattr(sys, "get_int_max_str_digits", lambda: 0)() or MAX_OUTPUT_DIGITS, MAX_OUTPUT_DIGITS)
             raise ValueError(f"an integer of more than {limit} digits is past the structured output limit") from None
     if human is None:
         human = document

@@ -112,15 +112,17 @@ class AreaCheck(_Record):
     passed: bool
 
 
-def _check_tol(tol: float) -> None:
-    """Refuse a tolerance that is not a finite number >= 0; NaN fails every comparison."""
+def _check_tol(tol: float) -> float:
+    """The tolerance, -0.0 read as 0.0 so that no bound is -0; refuse one that is
+    not a finite number >= 0 (NaN fails every comparison)."""
     if not 0 <= tol < math.inf:
         raise ValueError(f"the tolerance must be a finite number >= 0, got {tol!r}")
+    return abs(tol)
 
 
 def check_rectangle_area(d: DirPoly, tol: float = DEFAULT_TOL) -> AreaCheck:
     """Verify A == L*W for one polynomial, both in floats and in log form."""
-    _check_tol(tol)
+    tol = _check_tol(tol)
     m = measures(d)
     area = m.area
     product = m.length * m.width
@@ -207,7 +209,7 @@ def check_cross_rectangle_area(
 
 def _check_cross(cm: CrossMeasures, tol: float) -> CrossAreaCheck:
     """The cross rectangle-area check of cross measures already taken."""
-    _check_tol(tol)
+    tol = _check_tol(tol)
     if math.isinf(cm.cross_entropy):
         return _adopt(CrossAreaCheck, {"status": "degenerate", "cross": cm, "product": None,
                                        "float_error": None, "float_bound": None, "tol": tol})

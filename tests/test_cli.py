@@ -104,6 +104,11 @@ def test_check_fail_exit_code(capsys):
     code, out, _ = run(capsys, "check", "--format", "structured", "--tol", "0", "2^y + 1")
     assert code == 1
     assert json.loads(out)["status"] == "fail"
+    # -0 is that tolerance too, and is shown as 0.
+    code, out, _ = run(capsys, "check", "--format", "structured", "--tol", "-0.0", "2^y + 1")
+    assert code == 1 and '"tol": 0.0,' in out
+    code, out, _ = run(capsys, "check", "--tol", "-0.0", "2^y + 1")
+    assert code == 1 and out.count(" (bound 0)\n") == 2
 
 
 def test_cross(capsys, tmp_path):
@@ -126,6 +131,8 @@ def test_cross(capsys, tmp_path):
     }
     code, _, _ = run(capsys, "cross", "--tol", "0", data, model)
     assert code == 1
+    code, out, _ = run(capsys, "cross", "--format", "structured", "--tol", "-0", data, model)
+    assert code == 1 and '"tol": 0.0,' in out
 
 
 def test_cross_degenerate(capsys, tmp_path):
@@ -180,6 +187,10 @@ def test_hom_count_over_base(capsys, tmp_path):
     code, out, _ = run(capsys, "hom-count", "--over-base", b, b)
     assert code == 0
     assert out == "256\n"
+    # 3000 and 1000 draws over fibres of 2 and 4: a count of 5000 bits, past the chain cutoff.
+    data = write_bundle_file(tmp_path / "d.csv", [("a", 3000), ("b", 1000)])
+    model = write_bundle_file(tmp_path / "m.csv", [("a", 2), ("b", 4)])
+    assert run(capsys, "hom-count", "--over-base", data, model) == (0, f"{2**5000}\n", "")
 
 
 def test_from_dist_stdout_is_a_bundle_file(capsys, tmp_path):
@@ -324,6 +335,9 @@ def test_malformed_rows_exit_2_in_both_formats(capsys, tmp_path):
         ("label,fibre\na\n", f"{path}:2: expected 2 comma-separated fields"),
         ("label,fibre\na,1\n ,2\n", f"{path}:3: empty label"),
         ("label,probability\n,1\n", f"{path}:2: empty label"),
+        # a repeated label is named at its second row, before a bad value on a later row
+        ("label,fibre\n# comment\na,1\na,2\nb,x\n", f"{path}:4: duplicate outcome label 'a'"),
+        ("label,probability\nh,1/2\nh,1/2\nt,0.5\n", f"{path}:3: duplicate outcome label 'h'"),
     ):
         path.write_text(text, encoding="utf-8")
         command = "to-dist" if text.startswith("label,fibre") else "from-dist"
@@ -386,6 +400,17 @@ def test_a_file_that_is_not_utf8_is_named_in_from_dist(capsys, tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_bytes(b"label,probability\nh,1/3\nt,2/3\n\xc3(\n")
     assert run(capsys, "from-dist", str(bad)) == (2, "", f"error: {bad}: not UTF-8 text\n")
+
+
+@pytest.mark.parametrize("position", [0, 1])
+def test_a_duplicate_label_is_named_with_its_file_and_line_in_cross(capsys, tmp_path, position):
+    good = write_bundle_file(tmp_path / "b.csv", [("a", 1), ("b", 2)])
+    dup = write_bundle_file(tmp_path / "dup.csv", [("a", 1), ("b", 2), ("a", 3)])
+    files = [good, good]
+    files[position] = dup
+    message = f"{dup}:4: duplicate outcome label 'a'"
+    assert run(capsys, "cross", *files) == (2, "", f"error: {message}\n")
+    assert run(capsys, "cross", "--format", "structured", *files) == (2, "", json.dumps({"error": message}) + "\n")
 
 
 def test_usage_errors_exit_2(capsys):
@@ -509,6 +534,9 @@ def test_human_output_prints_integers_past_the_str_limit(capsys):
     code, out, _ = run(capsys, "measures", "1000*10^y")
     assert code == 0
     assert out.splitlines()[2] == "powerProduct: 1" + "0" * 10000
+    code, out, _ = run(capsys, "measures", "3*4096^y + 6^y")  # P = 4096**12288 * 6**6, 44,394 digits
+    assert code == 0
+    assert from_decimal(out.splitlines()[2].removeprefix("powerProduct: ")) == 4096**12288 * 6**6
     # One digit past the limit: computed, then refused at rendering.
     code, out, err = run(capsys, "eval", "10^y", str(MAX_OUTPUT_DIGITS))
     assert (code, out) == (2, "")
@@ -527,6 +555,20 @@ def test_output_limit_holds_with_the_str_limit_off():
                               env=env, capture_output=True, text=True, timeout=120)
         assert (proc.returncode, proc.stdout) == (2, ""), argv
         assert proc.stderr.count("\n") == 1 and "output limit" in proc.stderr, argv
+
+
+def test_structured_limit_message_without_the_int_str_limit_api():
+    # Python 3.10.0-3.10.6 have no sys.get_int_max_str_digits; the limit is then the output cap.
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys; vars(sys).pop('get_int_max_str_digits', None); from dirpoly.cli import main;"
+            " sys.exit(main(['eval', '--format', 'structured', '10^y', '100000']))")
+    proc = subprocess.run([sys.executable, "-X", "int_max_str_digits=0", "-c", code],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.count("\n") == 1
+    assert json.loads(proc.stderr) == {
+        "error": f"an integer of more than {MAX_OUTPUT_DIGITS} digits is past the structured output limit"}
 
 
 def test_size_guard_refuses_before_computing(capsys, tmp_path, monkeypatch):

@@ -34,6 +34,7 @@ def test_parse_products_and_parentheses():
     assert parse("2 * 3^y") == DirPoly({3: 2})
     assert parse("2^y * 3^y") == DirPoly({6: 1})
     assert parse("(1 + 1) * (3^y + 0^y)") == DirPoly({3: 2, 0: 2})
+    assert parse("(3*2^y + 5^y + 7)") == parse("3*2^y + 5^y + 7") == DirPoly({2: 3, 5: 1, 1: 7})
 
 
 def test_parse_merges_repeated_bases():

@@ -1,14 +1,17 @@
 """Replay tests/data/golden.json, results pinned when the corpus was written.
 
 The corpus (written by tests/make_golden.py) holds the cross-kl pools of
-benchmark seeds 1-3, run through the library, and the cli-mix ``from-dist``,
-``to-dist``, ``cross`` and ``kl`` requests of the same seeds, run through
-``main()``.  Integers and strings must match exactly, floats within the
-bound the corpus names for each (``DEFAULT_TOL``); an infinity must match
-exactly.  Human output prints a float to 12 significant digits, less any
-trailing zeros, so a float there must also keep its count of digits; a
-structured float is Python's shortest repr, whose length a last-ulp
-difference changes.  A failure lists the cases that differ.
+benchmark seeds 1-3, run through the library, and every cli-mix request of
+the same seeds, run through ``main()``: the ``from-dist``, ``to-dist``,
+``cross`` and ``kl`` requests, the other commands' requests, and the usage
+errors, kept as their last stderr line beside each ``--help``'s first line.
+Integers and strings must match exactly, floats within the bound the corpus
+names for each (``DEFAULT_TOL``); an infinity must match exactly.  Human
+output prints a float to 12 significant digits, less any trailing zeros, so
+a float there must also keep its count of digits; a structured float is
+Python's shortest repr, whose length a last-ulp difference changes.  The
+bound ``ANY`` (the residues of ``check``) asks only for a float.  A failure
+lists the cases that differ.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dirpoly.cli import main
 from dirpoly.measures import DEFAULT_TOL
 
 CORPUS = Path(__file__).parent / "data" / "golden.json"
-BOUNDS = {"DEFAULT_TOL": DEFAULT_TOL}
+BOUNDS = {"DEFAULT_TOL": DEFAULT_TOL, "ANY": None}
 
 
 @pytest.fixture(scope="module")
@@ -102,8 +105,8 @@ def replay(case: dict, corpus: dict, directory: Path) -> list[str]:
     ) if not same]
     human = "structured" not in case["argv"]
     diffs += [f"float {i}: {text} for {expected}" for i, (text, (expected, bound)) in enumerate(zip(texts, case["floats"]))
-              if not close(float(text), float(expected), BOUNDS[bound])
-              or human and digits(text) != digits(expected)]
+              if BOUNDS[bound] is not None and (not close(float(text), float(expected), BOUNDS[bound])
+                                                or human and digits(text) != digits(expected))]
     for name, text in case.get("written", {}).items():
         if (directory / name).read_text(encoding="utf-8") != text:
             diffs.append(f"written {name}")
@@ -118,3 +121,27 @@ def test_the_cli_mix_file_commands_print_their_recorded_output(corpus, tmp_path)
         if diffs := replay(case, corpus, directory):
             failed[case["case"]] = diffs
     assert corpus["cli"] and not failed, f"{len(failed)} cli-mix cases differ: {failed}"
+
+
+def test_every_other_cli_mix_request_prints_its_recorded_output(corpus, tmp_path):
+    failed = {}
+    for i, case in enumerate(corpus["cli_other"]):
+        (directory := tmp_path / str(i)).mkdir()
+        if diffs := replay(case, corpus, directory):
+            failed[case["case"]] = diffs
+    assert corpus["cli_other"] and not failed, f"{len(failed)} cli-mix cases differ: {failed}"
+
+
+def test_each_help_and_usage_error_prints_its_recorded_line(corpus, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage lines to the terminal's width
+    failed = []
+    for case in corpus["usage"]:
+        code = main(case["argv"])
+        out, err = capsys.readouterr()
+        if case["exit"] == 0:
+            same = (code, out.splitlines()[:1], err) == (0, [case["stdout_first"]], "")
+        else:
+            same = (code, out, err.splitlines()[-1:]) == (case["exit"], "", [case["stderr_last"]])
+        if not same:
+            failed.append(case["case"])
+    assert corpus["usage"] and not failed, f"{len(failed)} usage cases differ: {failed}"
