@@ -13,16 +13,18 @@ character 'y'; anything else after '^' is rejected, as are numeric
 exponents.
 
 ``parse`` reads a sum of monomials (text without parentheses whose terms are
-'*'-products of NAT and NAT '^' 'y') in one pass over its terms; any other
-text, every invalid one included, goes to the general one-pass token loop,
-so each ParseError message and position comes from that loop alone.
+'*'-products of NAT and NAT '^' 'y') in one pass over its terms, each literal
+by one ``int()``; any other text, every invalid one included, goes to the
+general one-pass token loop, so each ParseError message and position comes
+from that loop alone.
 
 ``format_poly`` writes the canonical form back out: bases descending, each
 term as "a*n^y", dropping a coefficient of 1, printing base-1 terms as the
 bare coefficient, and the zero polynomial as "0".  All of dirpoly writes
-naturals with ``_decimal``, up to MAX_OUTPUT_DIGITS digits, and reads them with
-``_natural``, only up to the int/str digit limit (4300 digits by default): a
-printed polynomial parses back only while its numbers are that short.
+naturals with ``_decimal``, up to MAX_OUTPUT_DIGITS digits, and reads them only
+up to the int/str digit limit (4300 digits by default), naming a longer one
+with ``_natural``: a printed polynomial parses back only while its numbers are
+that short.
 """
 
 from __future__ import annotations
@@ -81,30 +83,30 @@ def parse(text: str) -> DirPoly:
 def _sum_of_monomials(text: str) -> dict[int, int] | None:
     """The terms of a '+'-separated sum of '*'-separated factors, each an ASCII
     natural k or k '^' 'y', whitespace around any token: one running
-    (coefficient, base) per term, added straight into the result.  None for
-    any other text, such as parentheses, an odd token, an empty term or a
-    literal ``_natural`` refuses, which ``_parse_loop`` then reads or rejects
-    with its message and position.  Such a text charges at most one term pair
-    per '*', within the ``MAX_TERM_PAIRS + len(text)`` budget, so no budget
-    is checked here."""
+    (coefficient, base) per term, added straight into the result, each
+    literal read by one ``int()``.  None for any other text, such as
+    parentheses, an odd token, an empty term, a non-ASCII digit or a literal
+    ``int()`` refuses, which ``_parse_loop`` then reads or rejects with its
+    message and position.  Such a text charges at most one term pair per
+    '*', within the ``MAX_TERM_PAIRS + len(text)`` budget, so no budget is
+    checked here."""
     total = {}
-    for term in text.split("+"):
-        coeff = base = 1
-        for factor in term.split("*"):
-            number, caret, power = factor.partition("^")
-            number = number.strip()
-            if not (number.isdigit() and number.isascii()) or caret and power.strip() != "y":
-                return None
-            try:
-                n = _natural(number)
-            except ValueError:
-                return None
-            if caret:
-                base *= n
-            else:
-                coeff *= n
-        if coeff:
-            total[base] = total.get(base, 0) + coeff
+    try:
+        for term in text.split("+"):
+            coeff = base = 1
+            for factor in term.split("*"):
+                number, caret, power = factor.partition("^")
+                number = number.strip()
+                if not (number.isdigit() and number.isascii()) or caret and power.strip() != "y":
+                    return None
+                if caret:
+                    base *= int(number)
+                else:
+                    coeff *= int(number)
+            if coeff:
+                total[base] = total.get(base, 0) + coeff
+    except ValueError:
+        return None
     return total
 
 
@@ -219,7 +221,7 @@ def _ratio(p) -> str:
 
 def format_poly(d: DirPoly) -> str:
     """Canonical text of a polynomial, which ``parse`` reads back (see the module docstring)."""
-    terms = d.terms
+    terms = d._terms
     parts = []
     for base in sorted(terms, reverse=True):
         coeff = terms[base]

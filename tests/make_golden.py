@@ -27,9 +27,16 @@ for seeds 1-3, so that tier-1 replays them without importing ``bench/``:
   line of each usage error, cli-mix's unknown command among them, with its
   exit code, at 80 columns.  Whole help texts are not kept: Python 3.13
   wraps the main usage line differently.
+- ``parse``: about 2,000 seeded texts through ``parse``, each stored as
+  ``[text, canonical]``, its ``format_poly`` text, or as ``[text, message,
+  position]``, its ParseError: sums of monomials, texts with parentheses,
+  invalid texts, Unicode whitespace (U+00A0, U+3000, U+001C), literals of
+  4,300 and 4,301 digits under the 4,300-digit int/str limit, 100 and 101
+  levels of nesting, and a product at its term-pair budget and one pair
+  past it.
 
-A later change may add sections (such as ``parse``); one that alters output
-on purpose writes the file again and names the cases that changed.
+A later change may add sections; one that alters output on purpose writes
+the file again and names the cases that changed.
 """
 
 from __future__ import annotations
@@ -53,6 +60,7 @@ import crosskl  # noqa: E402
 
 import dirpoly  # noqa: E402
 from dirpoly.cli import main  # noqa: E402
+from dirpoly.expr import MAX_NESTING, MAX_TERM_PAIRS  # noqa: E402
 
 SEEDS = (1, 2, 3)
 COMMANDS = ("from-dist", "to-dist", "cross", "kl")  # the ``cli`` section; the rest go to ``cli_other``
@@ -170,6 +178,134 @@ def usage_cases() -> list[dict]:
     return [usage_case(argv, " ".join(["dirpoly", *argv])) for argv in argvs]
 
 
+#: Texts of the ``parse`` section drawn from each generator, and the int/str
+#: digit limit they are parsed under.
+PARSE_COUNTS = {"sum": 700, "grouped": 500, "invalid": 450, "spaces": 300}
+DIGIT_LIMIT = 4300
+SPACES = ["", "", "", "", " ", " ", " ", "  ", "\t", "\n"]
+UNICODE_SPACES = ["\xa0", "\u3000", "\x1c"]
+#: Characters an invalid text gets: foreign characters, non-ASCII digits
+#: (ARABIC-INDIC THREE, FULLWIDTH ZERO, SUPERSCRIPT TWO) and misplaced operators.
+BAD = ["q", "x", "-", ".", "/", "\u0663", "\uff10", "\u00b2", "+", "*", "^", "(", ")", "y", "^2"]
+
+
+def parse_outcome(text: str) -> list:
+    """``[text, canonical]`` or ``[text, message, position]``."""
+    try:
+        return [text, dirpoly.format_poly(dirpoly.parse(text))]
+    except dirpoly.ParseError as e:
+        return [text, str(e), e.position]
+
+
+def literal(rng: random.Random) -> str:
+    r = rng.random()
+    if r < 0.85:
+        return str(rng.randrange(13))
+    if r < 0.95:
+        return "0" * rng.randrange(1, 3) + str(rng.randrange(100))  # leading zeros
+    return str(rng.randrange(10**rng.randrange(2, 21)))
+
+
+def factor(rng: random.Random, space) -> str:
+    number = literal(rng)
+    return number + (space() + "^" + space() + "y" if rng.random() < 0.6 else "")
+
+
+def joined(parts: list[str], op: str, space) -> str:
+    return (space() + op + space()).join(parts)
+
+
+def monomial_sum(rng: random.Random, space) -> str:
+    return joined([joined([factor(rng, space) for _ in range(rng.choice([1, 1, 2, 2, 3]))], "*", space)
+                   for _ in range(rng.randrange(1, 5))], "+", space)
+
+
+def grouped(rng: random.Random, space, depth: int = 2) -> str:
+    """A sum of products whose atoms are factors or parenthesised sums; few terms, so products stay small."""
+    def atom():
+        if depth and rng.random() < 0.3:
+            return "(" + space() + grouped(rng, space, depth - 1) + space() + ")"
+        return factor(rng, space)
+    return joined([joined([atom() for _ in range(rng.randrange(1, 3))], "*", space)
+                   for _ in range(rng.randrange(1, depth + 2))], "+", space)
+
+
+def invalid(rng: random.Random, space) -> str:
+    """A valid text with one fault: a bad character, a non-ASCII digit, an empty term, ``^2``, a trailing '+'."""
+    text = (monomial_sum if rng.random() < 0.7 else grouped)(rng, space)
+    fault = rng.randrange(4)
+    if fault == 0:
+        at = rng.randrange(len(text) + 1)
+        return text[:at] + rng.choice(BAD) + text[at:]
+    if fault == 1:
+        digits = [i for i, c in enumerate(text) if c.isdigit()]
+        at = rng.choice(digits)
+        return text[:at] + rng.choice(["\u0663", "\uff10"]) + text[at + 1:]
+    if fault == 2:
+        return text.replace("+", "+" + space() + "+", 1) if "+" in text else "+" + space() + text
+    return text + space() + "+"
+
+
+def with_unicode_spaces(rng: random.Random, space) -> str:
+    """A valid or near-valid text whose whitespace is partly U+00A0, U+3000 or U+001C."""
+    def unicode_space():
+        return rng.choice(UNICODE_SPACES + SPACES)
+    return (monomial_sum, grouped, invalid)[rng.randrange(3)](rng, unicode_space)
+
+
+def budget_product(pairs_past: int) -> str:
+    """A product of (a*0^y + b) factors whose 10-digit coefficients grow, padded
+    with trailing spaces so that its pairs are ``pairs_past`` past the
+    ``MAX_TERM_PAIRS + len(text)`` budget: its output stays two terms."""
+    rng = random.Random("parse budget")
+    text = "*".join(f"({rng.randrange(10**9, 10**10)}*0^y+{rng.randrange(10**9, 10**10)})" for _ in range(270))
+    low, high = 0, MAX_TERM_PAIRS  # the least padding that parses
+    while low < high:
+        mid = (low + high) // 2
+        try:
+            dirpoly.parse(text + " " * mid)
+            high = mid
+        except dirpoly.ParseError:
+            low = mid + 1
+    assert 0 < low < MAX_TERM_PAIRS
+    return text + " " * (low - pairs_past)
+
+
+def fixed_parse_texts() -> list[str]:
+    """The edge texts of the ``parse`` section."""
+    rng = random.Random("parse edges")
+    at_limit = str(rng.randrange(10**(DIGIT_LIMIT - 1), 10**DIGIT_LIMIT))
+    past_limit = at_limit + str(rng.randrange(10))  # str() of it would pass the limit
+    nested = "(2^y + 1) * 3"
+    return [
+        "", "0", "0^y", "1", "+", "^2", "2^y +", "2^y + + 3", "2^y + q", "\u0663^y", "\uff10", "2^y + 1\u0663",
+        "\xa02\xa0^\xa0y\xa0+\xa01\xa0", "\u30002\u3000^\u3000y\u3000+\u30001", "2^y\x1c+\x1c1\x1c",
+        "2^y + " + at_limit, "(" + at_limit + "^y + 1) * 2", "2^y + " + past_limit, "3*(" + past_limit + "^y))",
+        "(" * MAX_NESTING + nested + ")" * MAX_NESTING,
+        "(" * (MAX_NESTING + 1) + nested + ")" * (MAX_NESTING + 1),
+        "(" * MAX_NESTING + "1" + ")" * (MAX_NESTING - 1),
+        budget_product(0), budget_product(1),
+    ]
+
+
+def parse_cases() -> list[list]:
+    """The ``parse`` section: the edge texts, then the seeded texts of each
+    generator, parsed under the ``DIGIT_LIMIT`` int/str limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        raise SystemExit("the parse section needs an interpreter with an int/str digit limit (Python 3.11+)")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(DIGIT_LIMIT)
+    try:
+        texts = fixed_parse_texts()
+        generators = {"sum": monomial_sum, "grouped": grouped, "invalid": invalid, "spaces": with_unicode_spaces}
+        for name, count in PARSE_COUNTS.items():
+            rng = random.Random(f"parse {name}")
+            texts += [generators[name](rng, lambda: rng.choice(SPACES)) for _ in range(count)]
+        return [parse_outcome(text) for text in texts]
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def main_() -> None:
     os.environ["COLUMNS"] = "80"  # argparse wraps its usage lines to the terminal's width
     cli, cli_other, cli_usage = cli_cases()
@@ -183,11 +319,12 @@ def main_() -> None:
         "cli": cli,
         "cli_other": cli_other,
         "usage": usage_cases() + cli_usage,
+        "parse": parse_cases(),
     }
     OUT.parent.mkdir(exist_ok=True)
     OUT.write_text(json.dumps(corpus, separators=(",", ":")) + "\n", encoding="utf-8")
     print(f"{OUT}: {len(corpus['cross'])} cross cases, {len(cli)} cli cases, {len(cli_other)} other cli cases,"
-          f" {len(corpus['usage'])} usage cases, {OUT.stat().st_size} bytes")
+          f" {len(corpus['usage'])} usage cases, {len(corpus['parse'])} parse cases, {OUT.stat().st_size} bytes")
 
 
 if __name__ == "__main__":

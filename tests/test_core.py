@@ -6,10 +6,10 @@ import operator
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dirpoly import DirPoly, LabelledBundle
+from dirpoly import DirPoly, LabelledBundle, check_rectangle_area, format_poly, hom_count, measures, rect_of
 from dirpoly.core import _power_product, _product
 
-from helpers import polys
+from helpers import nonempty_polys, polys
 
 
 def test_add_merges_coefficients_per_base():
@@ -263,3 +263,17 @@ two_adic_bases = st.one_of(
 @example([(4000, 3 << 12), (4000, 5 << 7), (4000, (2**61 - 1) << 3)])  # three odd parts
 def test_power_product_is_the_fold_over_2_adic_bases(pairs):
     assert _power_product(pairs) == functools.reduce(operator.mul, [base**exp for exp, base in pairs], 1)
+
+
+@given(nonempty_polys, polys, st.integers(0, 4))
+def test_no_reader_changes_the_terms_it_reads_in_place(d, e, n):
+    # format_poly, evaluation (hom_count evaluates e), rect_of and the
+    # measures read a polynomial's own term dict, not a copy of it.
+    before = d.terms, e.terms
+    format_poly(d)
+    hom_count(d, e)
+    d(n)
+    rect_of(d)
+    measures(d)
+    check_rectangle_area(d)
+    assert (d.terms, e.terms) == before

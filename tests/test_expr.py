@@ -321,3 +321,13 @@ def test_sum_of_monomials_skips_the_general_loop(monkeypatch):
 
     monkeypatch.setattr(expr, "_parse_loop", not_called)
     assert parse("3*2^y + 5^y*1 + 7\t+\xa00^y * 2") == DirPoly({2: 3, 5: 1, 1: 7, 0: 2})
+    assert parse("3*2^y\u3000+\u30005^y*1\u3000+\u30007") == DirPoly({2: 3, 5: 1, 1: 7})
+
+
+def test_the_sum_of_monomials_pass_reads_each_literal_with_int(monkeypatch):
+    def not_called(*args):
+        raise AssertionError("_natural ran")
+
+    monkeypatch.setattr(expr, "_natural", not_called)
+    assert parse("3*2^y + 5^y*1 + 007\t+\xa00^y * 2") == DirPoly({2: 3, 5: 1, 1: 7, 0: 2})
+    assert parse("9" * 600 + "^y") == DirPoly({10**600 - 1: 1})

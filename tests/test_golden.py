@@ -4,7 +4,10 @@ The corpus (written by tests/make_golden.py) holds the cross-kl pools of
 benchmark seeds 1-3, run through the library, and every cli-mix request of
 the same seeds, run through ``main()``: the ``from-dist``, ``to-dist``,
 ``cross`` and ``kl`` requests, the other commands' requests, and the usage
-errors, kept as their last stderr line beside each ``--help``'s first line.
+errors, kept as their last stderr line beside each ``--help``'s first line;
+and about 2,000 texts through ``parse``, each with its canonical text or its
+ParseError message and position, replayed under the 4,300-digit int/str
+limit they were written under.
 Integers and strings must match exactly, floats within the bound the corpus
 names for each (``DEFAULT_TOL``); an infinity must match exactly.  Human
 output prints a float to 12 significant digits, less any trailing zeros, so
@@ -21,19 +24,24 @@ import io
 import json
 import math
 import re
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from dirpoly import LabelledBundle, RationalDistribution, check_cross_rectangle_area, from_rational_distribution
-from dirpoly import to_distribution
+from dirpoly import LabelledBundle, ParseError, RationalDistribution, check_cross_rectangle_area, format_poly
+from dirpoly import from_rational_distribution, parse, to_distribution
 from dirpoly.cli import main
 from dirpoly.measures import DEFAULT_TOL
 
 CORPUS = Path(__file__).parent / "data" / "golden.json"
 BOUNDS = {"DEFAULT_TOL": DEFAULT_TOL, "ANY": None}
+#: The int/str digit limit of the ``parse`` section; where an interpreter has
+#: none, its texts holding a longer literal are not replayed, as they parse.
+DIGIT_LIMIT = 4300
+PAST_LIMIT = re.compile("[0-9]{%d}" % (DIGIT_LIMIT + 1))
 
 
 @pytest.fixture(scope="module")
@@ -145,3 +153,25 @@ def test_each_help_and_usage_error_prints_its_recorded_line(corpus, capsys, monk
         if not same:
             failed.append(case["case"])
     assert corpus["usage"] and not failed, f"{len(failed)} usage cases differ: {failed}"
+
+
+def parse_outcome(text: str) -> list:
+    try:
+        return [text, format_poly(parse(text))]
+    except ParseError as e:
+        return [text, str(e), e.position]
+
+
+def test_each_parse_text_gives_its_recorded_text_or_error(corpus):
+    get_limit, cases = getattr(sys, "get_int_max_str_digits", None), corpus["parse"]
+    if get_limit is None:
+        cases = [case for case in cases if not PAST_LIMIT.search(case[0])]
+    else:
+        limit = get_limit()
+        sys.set_int_max_str_digits(DIGIT_LIMIT)
+    try:
+        failed = [f"{i}: {case[0][:40]!r}" for i, case in enumerate(cases) if parse_outcome(case[0]) != case]
+    finally:
+        if get_limit is not None:
+            sys.set_int_max_str_digits(limit)
+    assert len(cases) > 1900 and not failed, f"{len(failed)} parse cases differ: {failed}"
