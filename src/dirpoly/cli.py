@@ -313,16 +313,17 @@ _COMMANDS = {
 
 
 def _build_parser(name: str | None = None) -> argparse.ArgumentParser:
-    """The parser of all nine commands, or of the one command ``name`` with a usage line naming all nine."""
-    parser = argparse.ArgumentParser(prog="dirpoly", description="Exact Dirichlet polynomial calculator: rig arithmetic,"
-                                     " entropy/length/width measures, hom counts, and distributions.")
-    # No metavar on the full parser: it would rename "command" in the "arguments are required" error.
-    metavar = "{" + ",".join(_COMMANDS) + "}" if name else None
-    if not name:  # out of the usage line, which the one-command parser prints too
+    """The parser of all nine commands, or the standalone parser of the one command ``name``."""
+    if name:  # prog as a subparser's, so its help and errors read the same
+        parser = argparse.ArgumentParser(prog=f"dirpoly {name}")
+        parsers = {name: parser}
+    else:
+        parser = argparse.ArgumentParser(prog="dirpoly", description="Exact Dirichlet polynomial calculator: rig"
+                                         " arithmetic, entropy/length/width measures, hom counts, and distributions.")
         parser.add_argument("--version", action="version", version=f"dirpoly {__version__}", help=argparse.SUPPRESS)
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for command in [name] if name else _COMMANDS:
-        p = sub.add_parser(command, help=_COMMANDS[command][1])
+        sub = parser.add_subparsers(dest="command", required=True)
+        parsers = {command: sub.add_parser(command, help=_COMMANDS[command][1]) for command in _COMMANDS}
+    for command, p in parsers.items():
         for flags, options in [_FORMAT, *_COMMANDS[command][2]]:
             p.add_argument(*flags, **options)
     return parser
@@ -330,14 +331,19 @@ def _build_parser(name: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    name = argv[0] if argv and argv[0] in _COMMANDS else None
     try:  # a command named first needs only its own parser
-        args = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+        if name:
+            args, rest = _build_parser(name).parse_known_args(argv[1:])
+        if not name or rest:  # the full parser words a main-level error, such as an argument left over
+            args = _build_parser().parse_args(argv)
+            name = args.command
     except SystemExit as exc:
         # argparse exits 0 for --help and 2 for usage errors; keep the contract.
         return 0 if exc.code in (0, None) else 2
     structured = args.format == "structured"
     try:
-        document, human, *output_file = _COMMANDS[args.command][0](args)
+        document, human, *output_file = _COMMANDS[name][0](args)
         # Rendered in full first, so a failure leaves stdout empty and writes no file.
         text = _render(document, human, structured)
         if output_file:

@@ -897,16 +897,60 @@ def test_one_command_parser_prints_what_the_full_parser_prints(capsys):
         assert run(capsys, *argv) == full, argv  # the same again in one process
 
 
+def _argv_corpus():
+    """Argument lists for every command: help, ``--``, abbreviated, ``=``-joined, repeated and
+    unknown options before, between and after the positionals, ``-1``, ``--version``, missing or
+    extra positionals, and each command's own options on every command."""
+    cases = []
+    for name, positionals in _POSITIONALS.items():
+        *head, last = positionals
+        for options in (["-h"], ["--help"], ["--he"], [], ["--form", "structured"], ["--f", "human"],
+                        ["--format=structured"], ["--fo=xml"], ["--format", "human", "--format", "structured"],
+                        ["--format"], ["-x"], ["--version"], ["-o", "out.csv"], ["--output=out.csv"], ["--over-base"],
+                        ["--over"], ["--tol", "0.5"], ["--tol=1e-3"], ["--tol", "x"], ["--tol"], ["-hx"], ["-"]):
+            cases += [[name, *options, *positionals], [name, *head, *options, last], [name, *positionals, *options]]
+        cases += [[name], [name, *head], [name, *positionals, "extra"], [name, *positionals, "a", "b"],
+                  [name, "--", *positionals], [name, *head, "--", last], [name, *positionals, "--"],
+                  [name, "--", "--", *positionals], [name, *positionals, "--", "extra"],
+                  [name, "--", *positionals, "--format", "structured"],
+                  [name, "--format", "structured", "--", *positionals], [name, "--", "-1", *positionals[1:]],
+                  [name, "--", "-x", *positionals[1:]], [name, "-1", *positionals[1:]], [name, *head, "-1"],
+                  [name, *positionals, "-1"], ["--", name, *positionals],
+                  ["--format", "structured", name, *positionals]]
+    return cases
+
+
+def test_a_named_command_parses_as_the_full_parser_does(capsys, monkeypatch):
+    parsed = []
+    for name, (_, text, arguments) in cli._COMMANDS.items():
+        monkeypatch.setitem(cli._COMMANDS, name, (lambda args: parsed.append(vars(args)) or ({}, []), text, arguments))
+    outcomes, parser = set(), cli._build_parser()
+    for argv in _argv_corpus():
+        try:
+            full = vars(parser.parse_args(argv))
+            del full["command"]
+        except SystemExit as exc:
+            full = (0 if exc.code in (0, None) else 2, *capsys.readouterr())
+        code = main(argv)
+        out, err = capsys.readouterr()
+        if isinstance(full, dict):
+            assert (code, err, parsed.pop()) == (0, "", full), argv
+        else:
+            assert (code, out, err) == full and not parsed, argv
+        outcomes.add(type(full))
+    assert outcomes == {dict, tuple}
+
+
 def test_a_named_command_builds_only_its_own_parser(capsys, monkeypatch):
-    calls = []
-    add_parser = argparse._SubParsersAction.add_parser
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
-                        lambda self, *args, **kwargs: calls.append(args[0]) or add_parser(self, *args, **kwargs))
+    progs = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *args, **kwargs: progs.append(kwargs.get("prog")) or init(self, *args, **kwargs))
     assert run(capsys, "eval", "4^y", "2")[:2] == (0, "16\n")
-    assert calls == ["eval"]
-    calls.clear()
+    assert progs == ["dirpoly eval"]
+    progs.clear()
     assert run(capsys, "--help")[0] == 0
-    assert calls == list(cli._COMMANDS)
+    assert progs == ["dirpoly", *(f"dirpoly {name}" for name in cli._COMMANDS)]
 
 
 def test_version_prints_the_package_version(capsys):
