@@ -84,8 +84,11 @@ def _data_rows(path: str, column: str, value_re: re.Pattern, value_rule: str, co
         seen.add(label)
         if not value_re.fullmatch(text):
             raise ValueError(f"{path}:{lineno}: {value_rule}, got {text!r}")
-        where = f"{path}:{lineno}: "
-        values.append((label, convert(*[_natural(part, where, text) for part in text.split("/")])))
+        try:
+            parts = [*map(int, text.split("/"))]
+        except ValueError:  # past the int/str digit limit: ``_natural`` words the message
+            parts = [_natural(part, f"{path}:{lineno}: ", text) for part in text.split("/")]
+        values.append((label, convert(*parts)))
     return tuple(values)
 
 

@@ -181,7 +181,10 @@ def _mul_terms(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
     for b1, c1 in a.items():
         for b2, c2 in b.items():
             base = b1 * b2
-            out[base] = out.get(base, 0) + c1 * c2
+            if base in out:
+                out[base] += c1 * c2
+            else:
+                out[base] = c1 * c2
     return out
 
 

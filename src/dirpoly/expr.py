@@ -21,10 +21,14 @@ from that loop alone.
 ``format_poly`` writes the canonical form back out: bases descending, each
 term as "a*n^y", dropping a coefficient of 1, printing base-1 terms as the
 bare coefficient, and the zero polynomial as "0".  All of dirpoly writes
-naturals with ``_decimal``, up to MAX_OUTPUT_DIGITS digits, and reads them only
-up to the int/str digit limit (4300 digits by default), naming a longer one
-with ``_natural``: a printed polynomial parses back only while its numbers are
-that short.
+naturals with ``_decimal``, up to MAX_OUTPUT_DIGITS digits, except that
+``format_poly`` tests the size once per polynomial: while its largest base and
+largest coefficient have at most _STR_BITS = 2000 bits (603 digits), it writes
+every number with plain ``str()``, which no int/str digit limit Python allows
+(640 digits at least) refuses, so the bound does not depend on the current
+limit.  dirpoly reads naturals only up to that limit (4300 digits by default),
+naming a longer one with ``_natural``: a printed polynomial parses back only
+while its numbers are that short.
 """
 
 from __future__ import annotations
@@ -51,6 +55,9 @@ _CAP_BITS = 33 * MAX_OUTPUT_DIGITS // 10  # 2**(3.3*D) < 10**D: an integer this 
 # Pieces below 10**512 convert under any int-to-str limit (the least allowed is 640).
 _PIECE_DIGITS = 512
 _PIECE = 10**_PIECE_DIGITS
+# 2**2000 < 10**603: a natural of at most this many bits has at most 603 digits, so ``str()``
+# writes it under any int-to-str limit (the least allowed is 640) and within the output cap.
+_STR_BITS = 2000
 
 
 class ParseError(ValueError):
@@ -220,15 +227,22 @@ def _ratio(p) -> str:
 
 
 def format_poly(d: DirPoly) -> str:
-    """Canonical text of a polynomial, which ``parse`` reads back (see the module docstring)."""
+    """Canonical text of a polynomial, which ``parse`` reads back (see the module docstring).
+    One size test per polynomial: while its largest base and largest coefficient have at most
+    _STR_BITS bits (603 digits, under the least int/str digit limit of 640), every number is
+    written by ``str()``; past that, each by ``_decimal``, which also holds the output cap."""
     terms = d._terms
+    if not terms:
+        return "0"
+    bases = sorted(terms, reverse=True)
+    text = str if bases[0].bit_length() <= _STR_BITS and max(terms.values()).bit_length() <= _STR_BITS else _decimal
     parts = []
-    for base in sorted(terms, reverse=True):
+    for base in bases:
         coeff = terms[base]
         if base == 1:
-            parts.append(_decimal(coeff))
+            parts.append(text(coeff))
         elif coeff == 1:
-            parts.append(f"{_decimal(base)}^y")
+            parts.append(f"{text(base)}^y")
         else:
-            parts.append(f"{_decimal(coeff)}*{_decimal(base)}^y")
-    return " + ".join(parts) or "0"
+            parts.append(f"{text(coeff)}*{text(base)}^y")
+    return " + ".join(parts)

@@ -779,6 +779,26 @@ def test_numbers_past_the_str_limit_in_files_exit_2(capsys, tmp_path):
     assert json.loads(err) == {"error": f"{dist}:2: number too long (4401 digits)"}
 
 
+def test_file_readers_read_each_number_with_int(monkeypatch, tmp_path):
+    def not_called(*args):
+        raise AssertionError("_natural ran")
+
+    monkeypatch.setattr(cli, "_natural", not_called)
+    bundle = write_bundle_file(tmp_path / "b.csv", [("a", "007"), ("b", 0), ("c", "9" * 600)])
+    assert read_bundle(bundle).fibres == (("a", 7), ("b", 0), ("c", 10**600 - 1))
+    dist = write_dist_file(tmp_path / "d.csv", [("a", "1/0003"), ("b", "4/6"), ("c", 0)])
+    assert read_distribution(dist).entries == (("a", Fraction(1, 3)), ("b", Fraction(2, 3)), ("c", 0))
+
+
+@pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 4401,
+    reason="needs an int-to-str digit limit below 4401 digits",
+)
+def test_a_denominator_past_the_str_limit_is_named_after_a_short_numerator(capsys, tmp_path):
+    dist = write_dist_file(tmp_path / "d.csv", [("a", "0"), ("b", "3/" + "7" * 4401)])
+    assert run(capsys, "from-dist", dist) == (2, "", f"error: {dist}:3: number too long (4401 digits)\n")
+
+
 def test_results_past_the_float_range_exit_2(capsys, tmp_path):
     big = "1" + "0" * 400
     one = write_bundle_file(tmp_path / "one.csv", [("a", 1)])

@@ -1,10 +1,15 @@
 """Expression parsing and canonical printing."""
 
+import json
+import os
 import random
+import subprocess
 import sys
 import time
+from decimal import Decimal
 from functools import reduce
 from operator import add, mul
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -331,3 +336,43 @@ def test_the_sum_of_monomials_pass_reads_each_literal_with_int(monkeypatch):
     monkeypatch.setattr(expr, "_natural", not_called)
     assert parse("3*2^y + 5^y*1 + 007\t+\xa00^y * 2") == DirPoly({2: 3, 5: 1, 1: 7, 0: 2})
     assert parse("9" * 600 + "^y") == DirPoly({10**600 - 1: 1})
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit to lower")
+def test_format_poly_under_the_least_str_limit():
+    # 640 digits is the least int/str digit limit Python accepts.  format_poly writes with plain
+    # str() only below its fixed size bound, so under that limit every text must still match
+    # str(Decimal(n)), which converts without the limit.  The numbers go to the subprocess in hex,
+    # which the limit does not apply to.
+    rng = random.Random(640)
+    numbers = [2**bits - 1 for bits in (expr._STR_BITS - 1, expr._STR_BITS, expr._STR_BITS + 1)]
+    for k in (639, 640, 641, 4300, 4301):
+        numbers += [10 ** (k - 1), rng.randrange(10 ** (k - 1), 10**k), 10**k - 1]
+    # 5,000 digits whose second 512-digit piece from the low end is all zeros
+    numbers.append(rng.randrange(10**3975, 10**3976) * 10**1024 + rng.randrange(10**511, 10**512))
+    cases = []
+    for n in numbers:
+        text = str(Decimal(n))
+        cases.append(({n: 3, 5: 7, 1: 2}, f"3*{text}^y + 7*5^y + 2"))  # the largest base
+        cases.append(({7: n, 2: 1, 1: 5}, f"{text}*7^y + 2^y + 5"))  # the largest coefficient
+        cases.append(({n: n}, f"{text}*{text}^y"))
+    cases.append(({2: 10**100000, 1: 1}, f"error: {expr._TOO_LONG}"))
+    script = ("import json, sys\n"
+              "from dirpoly import DirPoly, format_poly\n"
+              "texts = [sys.get_int_max_str_digits()]\n"
+              "for terms in json.load(sys.stdin):\n"
+              "    try:\n"
+              "        texts.append(format_poly(DirPoly({int(b, 16): int(c, 16) for b, c in terms})))\n"
+              "    except ValueError as exc:\n"
+              "        texts.append(f'error: {exc}')\n"
+              "print(json.dumps(texts))\n")
+    src = str(Path(expr.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    terms = json.dumps([[[hex(b), hex(c)] for b, c in poly.items()] for poly, _ in cases])
+    proc = subprocess.run([sys.executable, "-X", "int_max_str_digits=640", "-c", script], input=terms,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    limit, *texts = json.loads(proc.stdout)
+    assert limit == 640
+    for (poly, expected), text in zip(cases, texts, strict=True):
+        assert text == expected, max(poly).bit_length()
